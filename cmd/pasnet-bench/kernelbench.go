@@ -23,22 +23,16 @@ type kernelResult struct {
 
 // kernelReport is the BENCH_kernel.json schema: the perf-trajectory file
 // CI archives so kernel regressions are visible across commits. Every
-// workload is timed once per backend (naive, blocked, tiled);
-// SpeedupsLowered keeps the original naive-vs-default-lowered headline
-// (the default is now tiled) and SpeedupsTiled isolates what register
-// tiling buys over the cache-blocked kernel.
+// workload is timed on the naive reference and on the tiled kernel, and
+// SpeedupsLowered is the naive-over-tiled ratio.
 type kernelReport struct {
 	GeneratedUnix   int64              `json:"generated_unix"`
 	Workers         int                `json:"workers"`
 	Results         []kernelResult     `json:"results"`
 	SpeedupsLowered map[string]float64 `json:"speedups_lowered_over_naive"`
-	SpeedupsTiled   map[string]float64 `json:"speedups_tiled_over_blocked"`
 }
 
-// kernelBenchBackends is the sweep order; entry names are base_backend.
-var kernelBenchBackends = []kernel.Backend{kernel.BackendNaive, kernel.BackendBlocked, kernel.BackendTiled}
-
-// kernelBench times every kernel backend on the exhibit workloads — conv
+// kernelBench times the naive and tiled kernels on the exhibit workloads — conv
 // in both element domains and through the full 2PC-Conv protocol, plus the
 // square ring/float GEMM shapes the register-tiled microkernel targets —
 // and optionally writes BENCH_kernel.json into jsonDir.
@@ -120,20 +114,19 @@ func kernelBench(jsonDir string) error {
 		GeneratedUnix:   time.Now().Unix(),
 		Workers:         kernel.Workers(),
 		SpeedupsLowered: map[string]float64{},
-		SpeedupsTiled:   map[string]float64{},
 	}
 	perOp := map[string]float64{}
 	fmt.Printf("Kernel microbenchmarks (workers=%d):\n", kernel.Workers())
 	for _, w := range workloads {
-		for _, be := range kernelBenchBackends {
-			name := w.base + "_" + be.String()
-			prev := kernel.SetBackend(be)
+		for _, path := range []string{"naive", "tiled"} {
+			name := w.base + "_" + path
+			prev := kernel.SetNaive(path == "naive")
 			br := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					w.fn()
 				}
 			})
-			kernel.SetBackend(prev)
+			kernel.SetNaive(prev)
 			ns := float64(br.NsPerOp())
 			perOp[name] = ns
 			rep.Results = append(rep.Results, kernelResult{Name: name, NsPerOp: ns, N: br.N})
@@ -143,14 +136,12 @@ func kernelBench(jsonDir string) error {
 			}
 		}
 	}
-	fmt.Println("\nPer-workload speedups (lowered = tiled default):")
+	fmt.Println("\nPer-workload speedups (tiled over naive):")
 	for _, w := range workloads {
 		if tiled := perOp[w.base+"_tiled"]; tiled > 0 {
 			rep.SpeedupsLowered[w.base] = perOp[w.base+"_naive"] / tiled
-			rep.SpeedupsTiled[w.base] = perOp[w.base+"_blocked"] / tiled
 		}
-		fmt.Printf("  %-14s %6.2fx over naive, %6.2fx tiled over blocked\n",
-			w.base, rep.SpeedupsLowered[w.base], rep.SpeedupsTiled[w.base])
+		fmt.Printf("  %-14s %6.2fx\n", w.base, rep.SpeedupsLowered[w.base])
 	}
 
 	if jsonDir != "" {

@@ -228,9 +228,10 @@ func trainObsClass(class string) (*models.Model, *dataset.Dataset, error) {
 // protocol rounds and per-kind wire bytes the registry accounted, and
 // compares online ms/query against an identical uninstrumented run. The
 // two runs share seeds, so the logits must match bit-exactly:
-// observation may never perturb the protocol. Bytes and rounds are
-// deterministic; times take the fastest repetition so a noisy runner
-// cannot manufacture a phantom overhead.
+// observation may never perturb the protocol. Bytes are exact; rounds
+// are a send→recv flip count that is racy under Exchange, so they vary
+// slightly run to run. Times take the fastest repetition so a noisy
+// runner cannot manufacture a phantom overhead.
 func obsBench(jsonDir string) error {
 	if err := checkBenchDir(jsonDir); err != nil {
 		return err

@@ -1,13 +1,21 @@
+// Package fixed implements fixed-point arithmetic over the ring Z_{2^64},
+// the number system PASNet's executable 2PC protocols run in.
+//
+// A real number v is encoded as round(v * 2^FracBits) reduced modulo 2^64
+// and interpreted in two's complement. Addition and subtraction wrap
+// naturally; multiplication of two encodings produces a value scaled by
+// 2^(2*FracBits) and must be re-scaled with Truncate.
+//
+// The paper runs its FPGA protocol in a 32-bit ring (Sec. IV "the fixed
+// point ring size is set to 32 bits"). The executable protocols use a
+// 64-bit ring instead so that SecureML-style local truncation of
+// double-scaled products is numerically safe (wrap probability about
+// |x|/2^(63-2f) instead of |x|/2^(31-2f)); CrypTen makes the same choice.
+// The hardware latency/communication model in internal/hwmodel continues
+// to charge the paper's 32-bit costs.
 package fixed
 
 // Word64Bits is the width of the executable-protocol ring Z_{2^64}.
-//
-// The paper runs its FPGA protocol in a 32-bit ring. Our executable 2PC
-// layer uses a 64-bit ring instead so that SecureML-style local truncation
-// of double-scaled products is numerically safe (wrap probability about
-// |x|/2^(63-2f) instead of |x|/2^(31-2f)); CrypTen makes the same choice.
-// The hardware latency/communication model in internal/hwmodel continues
-// to charge the paper's 32-bit costs — see DESIGN.md §1.
 const Word64Bits = 64
 
 // DefaultFracBits64 is the default fractional precision in the 64-bit

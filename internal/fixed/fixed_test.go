@@ -9,8 +9,8 @@ import (
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	c := Default()
-	for _, v := range []float64{0, 1, -1, 0.5, -0.5, 3.14159, -271.828, 1e4, -1e4} {
+	c := Default64()
+	for _, v := range []float64{0, 1, -1, 0.5, -0.5, 3.14159, -271.828, 1e4, -1e4, 1e9, -1e9} {
 		got := c.Decode(c.Encode(v))
 		if math.Abs(got-v) > 1/c.Scale() {
 			t.Errorf("round trip %v -> %v, err %v", v, got, got-v)
@@ -19,9 +19,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestEncodeDecodeProperty(t *testing.T) {
-	c := Default()
-	if err := quick.Check(func(raw int32) bool {
-		v := float64(raw) / (1 << 16) // covers about ±32768
+	c := Default64()
+	if err := quick.Check(func(raw int64) bool {
+		v := float64(raw>>24) / (1 << 16) // covers about ±2^23
 		got := c.Decode(c.Encode(v))
 		return math.Abs(got-v) <= 1/c.Scale()
 	}, nil); err != nil {
@@ -30,7 +30,7 @@ func TestEncodeDecodeProperty(t *testing.T) {
 }
 
 func TestAdditionHomomorphism(t *testing.T) {
-	c := Default()
+	c := Default64()
 	r := rng.New(1)
 	for i := 0; i < 1000; i++ {
 		a := r.Norm() * 100
@@ -43,7 +43,7 @@ func TestAdditionHomomorphism(t *testing.T) {
 }
 
 func TestMulTrunc(t *testing.T) {
-	c := Default()
+	c := Default64()
 	r := rng.New(2)
 	for i := 0; i < 1000; i++ {
 		a := r.Norm() * 10
@@ -58,50 +58,47 @@ func TestMulTrunc(t *testing.T) {
 }
 
 func TestTruncateMatchesArithShift(t *testing.T) {
-	c := NewCodec(8)
-	if err := quick.Check(func(x uint32) bool {
-		return c.Truncate(x) == uint32(int32(x)>>8)
+	c := NewCodec64(8)
+	if err := quick.Check(func(x uint64) bool {
+		return c.Truncate(x) == uint64(int64(x)>>8)
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSignHelpers(t *testing.T) {
-	if !IsNeg(0x80000000) || IsNeg(0x7fffffff) {
-		t.Error("IsNeg boundary wrong")
+	if !IsNeg64(1<<63) || IsNeg64(1<<63-1) {
+		t.Error("IsNeg64 boundary wrong")
 	}
-	if MSB(0x80000000) != 1 || MSB(0x7fffffff) != 0 {
-		t.Error("MSB wrong")
+	if MSB64(1<<63) != 1 || MSB64(1<<63-1) != 0 {
+		t.Error("MSB64 wrong")
 	}
-	if Low31(0xffffffff) != 0x7fffffff {
-		t.Error("Low31 wrong")
+	if Low63(math.MaxUint64) != 1<<63-1 {
+		t.Error("Low63 wrong")
 	}
-	if Neg(5)+5 != 0 {
-		t.Error("Neg wrong")
-	}
-	if Signed(0xffffffff) != -1 {
-		t.Error("Signed wrong")
+	if c := Default64(); c.Decode(-c.Encode(5)) != -5 {
+		t.Error("ring negation does not decode to the negated value")
 	}
 }
 
 func TestNewCodecBounds(t *testing.T) {
-	for _, f := range []uint{0, 31, 40} {
+	for _, f := range []uint{0, 57, 64} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewCodec(%d) should panic", f)
+					t.Errorf("NewCodec64(%d) should panic", f)
 				}
 			}()
-			NewCodec(f)
+			NewCodec64(f)
 		}()
 	}
-	if c := NewCodec(16); c.Scale() != 65536 {
-		t.Error("NewCodec(16) scale wrong")
+	if c := NewCodec64(16); c.Scale() != 65536 {
+		t.Error("NewCodec64(16) scale wrong")
 	}
 }
 
 func TestSliceCodecs(t *testing.T) {
-	c := Default()
+	c := Default64()
 	vs := []float64{1.5, -2.25, 0, 100}
 	enc := c.EncodeSlice(vs, nil)
 	dec := c.DecodeSlice(enc, nil)
@@ -111,70 +108,12 @@ func TestSliceCodecs(t *testing.T) {
 		}
 	}
 	// In-place variants with preallocated destinations.
-	enc2 := make([]uint32, len(vs))
+	enc2 := make([]uint64, len(vs))
 	if got := c.EncodeSlice(vs, enc2); &got[0] != &enc2[0] {
 		t.Error("EncodeSlice did not reuse destination")
 	}
-}
-
-// TestFig2RingWalkThrough replays the paper's Fig. 2: a 4-bit ring
-// (Z_16, values interpreted in [-8, 7]) where secret-shared evaluation of
-// a multiply-accumulate matches plaintext thanks to natural overflow.
-func TestFig2RingWalkThrough(t *testing.T) {
-	ring := NewRingN(4)
-	// Plaintext: u = [-3, -5], w = [2, -3]; dot product = -6 + 15 = 9,
-	// which wraps to -7 in the 4-bit ring (as in the figure's spirit).
-	u := []int32{-3, -5}
-	w := []int32{2, -3}
-	var plain uint32
-	for i := range u {
-		plain = ring.Add(plain, ring.Mul(ring.Encode(u[i]), ring.Encode(w[i])))
-	}
-	// Secret shared evaluation: share each value additively, evaluate with
-	// Beaver-style expansion done in plaintext here (protocol correctness
-	// for the real ring is tested in package mpc).
-	r := rng.New(3)
-	var sum0, sum1 uint32
-	for i := range u {
-		ru := uint32(r.Intn(16))
-		rw := uint32(r.Intn(16))
-		u0, u1 := ru, ring.Sub(ring.Encode(u[i]), ru)
-		w0, w1 := rw, ring.Sub(ring.Encode(w[i]), rw)
-		// (u0+u1)(w0+w1) expanded; cross terms assigned to party 0.
-		sum0 = ring.Add(sum0, ring.Add(ring.Mul(u0, w0), ring.Add(ring.Mul(u0, w1), ring.Mul(u1, w0))))
-		sum1 = ring.Add(sum1, ring.Mul(u1, w1))
-	}
-	if got := ring.Add(sum0, sum1); got != plain {
-		t.Fatalf("shared evaluation %d != plaintext %d", got, plain)
-	}
-	if ring.Signed(plain) != -7 {
-		t.Fatalf("4-bit wrap of 9 = %d, want -7", ring.Signed(plain))
-	}
-}
-
-func TestRingNSigned(t *testing.T) {
-	ring := NewRingN(4)
-	cases := map[uint32]int32{0: 0, 7: 7, 8: -8, 15: -1, 9: -7}
-	for x, want := range cases {
-		if got := ring.Signed(x); got != want {
-			t.Errorf("Signed(%d) = %d, want %d", x, got, want)
-		}
-	}
-}
-
-func TestRingNOps(t *testing.T) {
-	ring := NewRingN(4)
-	if ring.Add(15, 1) != 0 {
-		t.Error("Add wrap")
-	}
-	if ring.Sub(0, 1) != 15 {
-		t.Error("Sub wrap")
-	}
-	if ring.Mul(5, 5) != 9 {
-		t.Error("Mul wrap: 25 mod 16 = 9")
-	}
-	full := NewRingN(32)
-	if full.Mask != ^uint32(0) {
-		t.Error("32-bit mask")
+	dec2 := make([]float64, len(vs))
+	if got := c.DecodeSlice(enc, dec2); &got[0] != &dec2[0] {
+		t.Error("DecodeSlice did not reuse destination")
 	}
 }

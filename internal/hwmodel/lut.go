@@ -30,12 +30,11 @@ const AnalyticSource = "analytic"
 
 // LUT is the latency lookup table Lat(OP): memoized operator costs for a
 // fixed hardware configuration. An analytic LUT fills itself from the
-// Config equations on demand; a calibrated LUT (built by
-// internal/autodeploy from measured 2PC wall times, or loaded from a
-// serialized artifact) carries measured entries for the probed keys and
-// falls back to the analytic equations — scaled by the per-kind
-// measured/analytic ratio in Scales when one was fitted — for keys the
-// probe suite never covered.
+// Config equations on demand; a calibrated LUT (fitted by FitLUT from
+// measured 2PC wall times, or loaded from a serialized artifact) carries
+// measured entries for the probed keys and falls back to the analytic
+// equations — scaled by the per-kind measured/analytic ratio in Scales
+// when one was fitted — for keys the probe suite never covered.
 type LUT struct {
 	// Config is the hardware model behind the analytic fallback (and, for
 	// an analytic table, every entry).
@@ -56,6 +55,55 @@ type LUT struct {
 // NewLUT returns an empty analytic table for the configuration.
 func NewLUT(cfg Config) *LUT {
 	return &LUT{Config: cfg, Entries: make(map[string]Cost), Source: AnalyticSource}
+}
+
+// Measured is one operator's measured online wall time per batch row.
+type Measured struct {
+	Op  NetOp
+	Sec float64
+}
+
+// FitLUT turns measured per-row operator wall times into a calibrated
+// table — the one fit behind autodeploy.Calibrate's probe suite and the
+// serving op feed's harvest. Each reading becomes its key's TotalSec; the
+// comp/comm split is taken pro-rata from the analytic model (measurement
+// sees only wall time), and traffic and round counts are copied from it.
+// Per-kind measured/analytic ratios become Scales, so geometries nobody
+// measured fall back to a rescaled analytic estimate instead of a raw one.
+func FitLUT(cfg Config, source string, readings []Measured) *LUT {
+	lut := NewLUT(cfg)
+	lut.Source = source
+	kindMeas := map[string]float64{}
+	kindAna := map[string]float64{}
+	for _, m := range readings {
+		ana := cfg.Op(m.Op.Kind, m.Op.Shape)
+		c := Cost{TotalSec: m.Sec, CommBits: ana.CommBits, Rounds: ana.Rounds}
+		if ana.TotalSec > 0 {
+			c.CompSec = m.Sec * ana.CompSec / ana.TotalSec
+			// The remainder can round to a tiny negative when the
+			// analytic split is ~all-compute; the artifact validator
+			// rightly rejects negative fields.
+			if c.CommSec = m.Sec - c.CompSec; c.CommSec < 0 {
+				c.CommSec = 0
+			}
+		} else {
+			c.CompSec = m.Sec
+		}
+		lut.Entries[m.Op.Key()] = c
+		kind := m.Op.Kind.String()
+		kindMeas[kind] += m.Sec
+		kindAna[kind] += ana.TotalSec
+	}
+	scales := map[string]float64{}
+	for kind, meas := range kindMeas {
+		if ana := kindAna[kind]; ana > 0 && meas > 0 {
+			scales[kind] = meas / ana
+		}
+	}
+	if len(scales) > 0 {
+		lut.Scales = scales
+	}
+	return lut
 }
 
 // Cost returns the operator cost, computing and memoizing it on first use.

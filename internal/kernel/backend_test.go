@@ -7,42 +7,6 @@ import (
 	"pasnet/internal/rng"
 )
 
-// TestBackendSwitchRoundTrip pins the interplay of the two knobs: SetBackend
-// round-trips through all three backends, and SetNaive(false) restores
-// whichever lowered backend was selected before the naive override.
-func TestBackendSwitchRoundTrip(t *testing.T) {
-	orig := SetBackend(BackendTiled)
-	defer SetBackend(orig)
-	if got := ActiveBackend(); got != BackendTiled {
-		t.Fatalf("ActiveBackend() = %v, want tiled", got)
-	}
-	if prev := SetBackend(BackendBlocked); prev != BackendTiled {
-		t.Fatalf("SetBackend returned %v, want tiled", prev)
-	}
-	if prev := SetBackend(BackendNaive); prev != BackendBlocked {
-		t.Fatalf("SetBackend returned %v, want blocked", prev)
-	}
-	if !Naive() {
-		t.Fatal("BackendNaive must force the naive override")
-	}
-	// Leaving the naive override restores the blocked selection.
-	SetNaive(false)
-	if got := ActiveBackend(); got != BackendBlocked {
-		t.Fatalf("after SetNaive(false): ActiveBackend() = %v, want blocked", got)
-	}
-	SetBackend(BackendTiled)
-	SetNaive(true)
-	SetNaive(false)
-	if got := ActiveBackend(); got != BackendTiled {
-		t.Fatalf("SetNaive round-trip lost the tiled selection: %v", got)
-	}
-	for _, b := range []Backend{BackendNaive, BackendBlocked, BackendTiled} {
-		if b.String() == "" {
-			t.Fatalf("backend %d has no name", b)
-		}
-	}
-}
-
 // gemmCase is one randomized geometry of the cross-backend suite; sizes
 // straddle the tileM/tileN panel boundaries (1×1 up to several panels).
 type gemmCase struct {
@@ -63,9 +27,9 @@ func randGemmCases(r *rng.RNG, iters int) []gemmCase {
 	return cases
 }
 
-// runVariants evaluates all four GEMM variants on the active backend. The
-// transposed operands are materialized by the caller so every backend sees
-// identical inputs.
+// runVariants evaluates all four GEMM variants on the active path (naive or
+// tiled). The transposed operands are materialized by the caller so both
+// paths see identical inputs.
 func runVariants[T Elem](dst map[string][]T, a, b, at, bt, accInit []T, m, k, n int) {
 	MatMul(dst["matmul"], a, b, m, k, n)
 	MatMulTransA(dst["transA"], at, b, k, m, n)
@@ -83,18 +47,17 @@ func newVariantDst[T Elem](mn int) map[string][]T {
 	}
 }
 
-// TestGEMMVariantsCrossBackend is the naive ≡ blocked ≡ tiled equivalence
-// property: every GEMM variant, in both element domains, at worker counts
-// 1, 4 and NumCPU, over randomized panel-straddling geometries. Ring
-// results must agree exactly; float64 results must be bit-identical (==,
-// not tolerance) — the per-element accumulation runs in ascending-k order
-// on every backend, which is also what keeps results worker-count
-// independent and the two 2PC parties in lockstep.
+// TestGEMMVariantsCrossBackend is the naive ≡ tiled equivalence property:
+// every GEMM variant, in both element domains, at worker counts 1, 4 and
+// NumCPU, over randomized panel-straddling geometries. Ring results must
+// agree exactly; float64 results must be bit-identical (==, not
+// tolerance) — the per-element accumulation runs in ascending-k order on
+// both paths, which is also what keeps results worker-count independent
+// and the two 2PC parties in lockstep.
 func TestGEMMVariantsCrossBackend(t *testing.T) {
-	origBackend := SetBackend(BackendTiled)
-	defer SetBackend(origBackend)
+	origNaive := SetNaive(false)
+	defer SetNaive(origNaive)
 	r := rng.New(46)
-	backends := []Backend{BackendNaive, BackendBlocked, BackendTiled}
 	for _, w := range []int{1, 4, runtime.NumCPU()} {
 		prevW := SetWorkers(w)
 		for _, c := range randGemmCases(r, 25) {
@@ -111,34 +74,31 @@ func TestGEMMVariantsCrossBackend(t *testing.T) {
 			btu := transposeU(bu, k, n)
 			accU := fillU64(r, m*n)
 
-			outF := map[Backend]map[string][]float64{}
-			outU := map[Backend]map[string][]uint64{}
-			for _, be := range backends {
-				SetBackend(be)
-				df := newVariantDst[float64](m * n)
-				runVariants(df, af, bf, atf, btf, accF, m, k, n)
-				outF[be] = df
-				du := newVariantDst[uint64](m * n)
-				runVariants(du, au, bu, atu, btu, accU, m, k, n)
-				outU[be] = du
+			// Index 0 runs naive, index 1 tiled.
+			var outF [2]map[string][]float64
+			var outU [2]map[string][]uint64
+			for path := range outF {
+				SetNaive(path == 0)
+				outF[path] = newVariantDst[float64](m * n)
+				runVariants(outF[path], af, bf, atf, btf, accF, m, k, n)
+				outU[path] = newVariantDst[uint64](m * n)
+				runVariants(outU[path], au, bu, atu, btu, accU, m, k, n)
 			}
-			for _, be := range backends[1:] {
-				for variant, want := range outF[BackendNaive] {
-					got := outF[be][variant]
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("workers=%d m=%d k=%d n=%d: float64 %s on %v not bit-identical at %d: %x vs %x",
-								w, m, k, n, variant, be, i, got[i], want[i])
-						}
+			for variant, want := range outF[0] {
+				got := outF[1][variant]
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("workers=%d m=%d k=%d n=%d: float64 %s on tiled not bit-identical at %d: %x vs %x",
+							w, m, k, n, variant, i, got[i], want[i])
 					}
 				}
-				for variant, want := range outU[BackendNaive] {
-					got := outU[be][variant]
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("workers=%d m=%d k=%d n=%d: ring %s on %v mismatch at %d: %d vs %d",
-								w, m, k, n, variant, be, i, got[i], want[i])
-						}
+			}
+			for variant, want := range outU[0] {
+				got := outU[1][variant]
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("workers=%d m=%d k=%d n=%d: ring %s on tiled mismatch at %d: %d vs %d",
+							w, m, k, n, variant, i, got[i], want[i])
 					}
 				}
 			}
@@ -167,13 +127,13 @@ func transposeU(a []uint64, rows, cols int) []uint64 {
 	return at
 }
 
-// TestConvCrossBackend runs the conv forward and backward paths on all
-// three backends over the random geometry zoo: the im2col GEMM and the
-// gradient GEMM variants must agree exactly in the ring and bit-identically
-// in float64, at 1 worker and NumCPU.
+// TestConvCrossBackend runs the conv forward and backward paths naive and
+// tiled over the random geometry zoo: the im2col GEMM and the gradient
+// GEMM variants must agree exactly in the ring and bit-identically in
+// float64, at 1 worker and NumCPU.
 func TestConvCrossBackend(t *testing.T) {
-	origBackend := SetBackend(BackendTiled)
-	defer SetBackend(origBackend)
+	origNaive := SetNaive(false)
+	defer SetNaive(origNaive)
 	r := rng.New(47)
 	for _, w := range []int{1, runtime.NumCPU()} {
 		prevW := SetWorkers(w)
@@ -189,8 +149,8 @@ func TestConvCrossBackend(t *testing.T) {
 				outF, dxF, dkF []float64
 				outU, dxU, dkU []uint64
 			}
-			run := func(be Backend) convOut {
-				SetBackend(be)
+			run := func(naive bool) convOut {
+				SetNaive(naive)
 				var o convOut
 				o.outF = make([]float64, s.OutLen())
 				Conv2D(o.outF, x, kf, s)
@@ -204,30 +164,28 @@ func TestConvCrossBackend(t *testing.T) {
 				Conv2DGrads(o.dxU, o.dkU, xu, ku, gyu, s)
 				return o
 			}
-			want := run(BackendNaive)
-			for _, be := range []Backend{BackendBlocked, BackendTiled} {
-				got := run(be)
-				checkBitsF := func(name string, g, wv []float64) {
-					for i := range wv {
-						if g[i] != wv[i] {
-							t.Fatalf("workers=%d shape %+v: float64 %s on %v not bit-identical at %d", w, s, name, be, i)
-						}
+			want := run(true)
+			got := run(false)
+			checkBitsF := func(name string, g, wv []float64) {
+				for i := range wv {
+					if g[i] != wv[i] {
+						t.Fatalf("workers=%d shape %+v: float64 %s on tiled not bit-identical at %d", w, s, name, i)
 					}
 				}
-				checkU := func(name string, g, wv []uint64) {
-					for i := range wv {
-						if g[i] != wv[i] {
-							t.Fatalf("workers=%d shape %+v: ring %s on %v mismatch at %d", w, s, name, be, i)
-						}
-					}
-				}
-				checkBitsF("conv", got.outF, want.outF)
-				checkBitsF("dx", got.dxF, want.dxF)
-				checkBitsF("dk", got.dkF, want.dkF)
-				checkU("conv", got.outU, want.outU)
-				checkU("dx", got.dxU, want.dxU)
-				checkU("dk", got.dkU, want.dkU)
 			}
+			checkU := func(name string, g, wv []uint64) {
+				for i := range wv {
+					if g[i] != wv[i] {
+						t.Fatalf("workers=%d shape %+v: ring %s on tiled mismatch at %d", w, s, name, i)
+					}
+				}
+			}
+			checkBitsF("conv", got.outF, want.outF)
+			checkBitsF("dx", got.dxF, want.dxF)
+			checkBitsF("dk", got.dkF, want.dkF)
+			checkU("conv", got.outU, want.outU)
+			checkU("dx", got.dxU, want.dxU)
+			checkU("dk", got.dkU, want.dkU)
 		}
 		SetWorkers(prevW)
 	}

@@ -45,7 +45,7 @@ func BenchmarkConvDepthwise(b *testing.B) {
 }
 
 // BenchmarkMatMul sweeps square GEMM sizes in the ring domain on the
-// active backend (run with PASNET_KERNEL_BACKEND to A/B backends).
+// active path (run with PASNET_KERNEL_NAIVE=1 to A/B against naive).
 func BenchmarkMatMul(b *testing.B) {
 	for _, n := range []int{64, 128, 256} {
 		b.Run(fmt.Sprintf("ring-%d", n), func(b *testing.B) {
@@ -61,36 +61,39 @@ func BenchmarkMatMul(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMulBackends pins blocked vs tiled head to head on the
+// BenchmarkMatMulBackends pins naive vs tiled head to head on the
 // register-tiling headline shape in both element domains.
 func BenchmarkMatMulBackends(b *testing.B) {
 	const n = 256
-	for _, be := range []Backend{BackendBlocked, BackendTiled} {
-		b.Run("ring-"+be.String(), func(b *testing.B) {
+	for _, path := range []struct {
+		name  string
+		naive bool
+	}{{"naive", true}, {"tiled", false}} {
+		b.Run("ring-"+path.name, func(b *testing.B) {
 			r := rng.New(5)
 			a := fillU64(r, n*n)
 			bb := fillU64(r, n*n)
 			dst := make([]uint64, n*n)
-			prev := SetBackend(be)
+			prev := SetNaive(path.naive)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				MatMul(dst, a, bb, n, n, n)
 			}
 			b.StopTimer()
-			SetBackend(prev)
+			SetNaive(prev)
 		})
-		b.Run("f64-"+be.String(), func(b *testing.B) {
+		b.Run("f64-"+path.name, func(b *testing.B) {
 			r := rng.New(6)
 			a := fillF64(r, n*n)
 			bb := fillF64(r, n*n)
 			dst := make([]float64, n*n)
-			prev := SetBackend(be)
+			prev := SetNaive(path.naive)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				MatMul(dst, a, bb, n, n, n)
 			}
 			b.StopTimer()
-			SetBackend(prev)
+			SetNaive(prev)
 		})
 	}
 }

@@ -81,7 +81,7 @@ func Conv2D[T Elem](out, x, k []T, s ConvShape) {
 				im2colRows(cols, x, s, b, gi, 0, ckk)
 				kmat := k[gi*ocg*ckk : (gi+1)*ocg*ckk]
 				blk := out[(b*s.OutC+gi*ocg)*ohw : (b*s.OutC+(gi+1)*ocg)*ohw]
-				loweredRows(blk, kmat, cols, ocg, ckk, ohw, 0, ocg)
+				tiledRows(blk, kmat, cols, ocg, ckk, ohw, 0, ocg)
 			}
 		})
 		return
@@ -98,7 +98,7 @@ func Conv2D[T Elem](out, x, k []T, s ConvShape) {
 		kmat := k[gi*ocg*ckk : (gi+1)*ocg*ckk]
 		blk := out[(b*s.OutC+gi*ocg)*ohw : (b*s.OutC+(gi+1)*ocg)*ohw]
 		parallelFor(ocg, rowGrain(ckk*ohw), func(lo, hi int) {
-			loweredRows(blk, kmat, cols, ocg, ckk, ohw, lo, hi)
+			tiledRows(blk, kmat, cols, ocg, ckk, ohw, lo, hi)
 		})
 	}
 }

@@ -7,16 +7,6 @@ type Elem interface {
 	~float64 | ~uint64
 }
 
-// Cache-blocking parameters. blockK bounds how many rows of b stay hot
-// while a dst row accumulates; blockN bounds the dst/b row segment width so
-// one segment of dst plus blockK segments of b fit in L1/L2. The blocking
-// never reorders the per-element reduction (k ascends within and across
-// blocks), so results are independent of the block sizes.
-const (
-	blockK = 128
-	blockN = 512
-)
-
 // gemmFlopGrain is the approximate multiply count handed to one worker;
 // row chunks are sized so small problems stay on one core.
 const gemmFlopGrain = 1 << 15
@@ -34,15 +24,16 @@ func rowGrain(rowWork int) int {
 	return g
 }
 
-// MatMul computes dst = a @ b for a (m×k) and b (k×n), parallelized over
-// dst rows and routed to the active backend. dst must not alias a or b.
+// MatMul computes dst = a @ b for a (m×k) and b (k×n) on the tiled
+// kernel, parallelized over dst rows (the naive reference under SetNaive).
+// dst must not alias a or b.
 func MatMul[T Elem](dst, a, b []T, m, k, n int) {
 	if Naive() {
 		MatMulNaive(dst, a, b, m, k, n)
 		return
 	}
 	parallelFor(m, rowGrain(k*n), func(lo, hi int) {
-		loweredRows(dst, a, b, m, k, n, lo, hi)
+		tiledRows(dst, a, b, m, k, n, lo, hi)
 	})
 }
 
@@ -68,128 +59,81 @@ func MatMulNaive[T Elem](dst, a, b []T, m, k, n int) {
 	}
 }
 
-// gemmRows computes dst rows [lo, hi) of a @ b with k/n cache blocking.
-func gemmRows[T Elem](dst, a, b []T, m, k, n, lo, hi int) {
-	_ = m
-	for i := lo; i < hi; i++ {
-		drow := dst[i*n : (i+1)*n]
-		for x := range drow {
-			drow[x] = 0
-		}
-	}
-	for p0 := 0; p0 < k; p0 += blockK {
-		p1 := p0 + blockK
-		if p1 > k {
-			p1 = k
-		}
-		for j0 := 0; j0 < n; j0 += blockN {
-			j1 := j0 + blockN
-			if j1 > n {
-				j1 = n
-			}
-			for i := lo; i < hi; i++ {
-				arow := a[i*k : (i+1)*k]
-				drow := dst[i*n+j0 : i*n+j1]
-				for p := p0; p < p1; p++ {
-					av := arow[p]
-					if av == 0 {
-						continue
-					}
-					brow := b[p*n+j0 : p*n+j1]
-					for j, bv := range brow {
-						drow[j] += av * bv
-					}
-				}
-			}
-		}
-	}
-}
-
 // MatMulTransB computes dst = a @ bᵀ for a (m×k) and b (n×k), parallelized
-// over dst rows. Under the tiled backend it runs the packed microkernel;
-// the blocked backend streams both operands row-wise (no extra blocking
-// needed); under SetNaive it runs that same loop single-threaded.
+// over dst rows on the tiled kernel; under SetNaive it runs a serial
+// row-times-row reference loop.
 func MatMulTransB[T Elem](dst, a, b []T, m, k, n int) {
-	if transVariantTiled() {
-		parallelFor(m, rowGrain(k*n), func(lo, hi int) {
-			tiledTransBRows(dst, a, b, m, k, n, lo, hi, false)
-		})
+	if Naive() {
+		matMulTransBNaive(dst, a, b, m, k, n, false)
 		return
 	}
-	maybeParallel(m, rowGrain(k*n), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a[i*k : (i+1)*k]
-			drow := dst[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				brow := b[j*k : (j+1)*k]
-				var s T
-				for p, av := range arow {
-					s += av * brow[p]
-				}
-				drow[j] = s
-			}
-		}
+	parallelFor(m, rowGrain(k*n), func(lo, hi int) {
+		tiledTransBRows(dst, a, b, m, k, n, lo, hi, false)
 	})
 }
 
 // MatMulTransBAcc computes dst += a @ bᵀ, the accumulating variant used
 // for weight-gradient reduction across a batch.
 func MatMulTransBAcc[T Elem](dst, a, b []T, m, k, n int) {
-	if transVariantTiled() {
-		parallelFor(m, rowGrain(k*n), func(lo, hi int) {
-			tiledTransBRows(dst, a, b, m, k, n, lo, hi, true)
-		})
+	if Naive() {
+		matMulTransBNaive(dst, a, b, m, k, n, true)
 		return
 	}
-	maybeParallel(m, rowGrain(k*n), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a[i*k : (i+1)*k]
-			drow := dst[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				brow := b[j*k : (j+1)*k]
-				var s T
-				for p, av := range arow {
-					s += av * brow[p]
-				}
-				drow[j] += s
-			}
-		}
+	parallelFor(m, rowGrain(k*n), func(lo, hi int) {
+		tiledTransBRows(dst, a, b, m, k, n, lo, hi, true)
 	})
 }
 
-// transVariantTiled reports whether the transposed GEMM variants should
-// take the tiled path: the naive override keeps them on their serial
-// reference loops regardless of the lowered-backend selection.
-func transVariantTiled() bool { return !useNaive.Load() && useTiled.Load() }
+// matMulTransBNaive is the reference loop behind both transposed-B
+// variants; acc selects dst += over dst =.
+func matMulTransBNaive[T Elem](dst, a, b []T, m, k, n int, acc bool) {
+	for i := 0; i < m; i++ {
+		arow := a[i*k : (i+1)*k]
+		drow := dst[i*n : (i+1)*n]
+		for j := 0; j < n; j++ {
+			brow := b[j*k : (j+1)*k]
+			var s T
+			for p, av := range arow {
+				s += av * brow[p]
+			}
+			if acc {
+				drow[j] += s
+			} else {
+				drow[j] = s
+			}
+		}
+	}
+}
 
 // MatMulTransA computes dst = aᵀ @ b for a (k×m) and b (k×n), parallelized
-// over dst rows (columns of a).
+// over dst rows (columns of a) on the tiled kernel; under SetNaive it runs
+// a serial reference loop.
 func MatMulTransA[T Elem](dst, a, b []T, k, m, n int) {
-	if transVariantTiled() {
-		parallelFor(m, rowGrain(k*n), func(lo, hi int) {
-			tiledTransARows(dst, a, b, k, m, n, lo, hi)
-		})
+	if Naive() {
+		matMulTransANaive(dst, a, b, k, m, n)
 		return
 	}
-	maybeParallel(m, rowGrain(k*n), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			drow := dst[i*n : (i+1)*n]
-			for x := range drow {
-				drow[x] = 0
-			}
-		}
-		for p := 0; p < k; p++ {
-			brow := b[p*n : (p+1)*n]
-			for i := lo; i < hi; i++ {
-				av := a[p*m+i]
-				if av == 0 {
-					continue
-				}
-				drow := dst[i*n : (i+1)*n]
-				for j, bv := range brow {
-					drow[j] += av * bv
-				}
-			}
-		}
+	parallelFor(m, rowGrain(k*n), func(lo, hi int) {
+		tiledTransARows(dst, a, b, k, m, n, lo, hi)
 	})
+}
+
+// matMulTransANaive is MatMulTransA's reference loop.
+func matMulTransANaive[T Elem](dst, a, b []T, k, m, n int) {
+	for i := range dst[:m*n] {
+		dst[i] = 0
+	}
+	for p := 0; p < k; p++ {
+		brow := b[p*n : (p+1)*n]
+		for i := 0; i < m; i++ {
+			av := a[p*m+i]
+			if av == 0 {
+				continue
+			}
+			drow := dst[i*n : (i+1)*n]
+			for j, bv := range brow {
+				drow[j] += av * bv
+			}
+		}
+	}
 }

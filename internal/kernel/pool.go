@@ -1,6 +1,6 @@
 // Package kernel holds the shared compute kernels behind every convolution
 // and matrix-multiplication hot path in the repository: im2col/col2im
-// lowering, a cache-blocked GEMM, and chunked elementwise primitives, all
+// lowering, a register-tiled GEMM, and chunked elementwise primitives, all
 // instantiated over both float64 (plaintext training) and uint64 (the 2PC
 // ring Z_{2^64}, where Go's native wrapping arithmetic is exactly the ring
 // semantics).
@@ -24,50 +24,15 @@ import (
 // workersEnv overrides the default worker count (useful for containerized
 // deployments where NumCPU over-reports the usable share); naiveEnv=1
 // starts the process on the naive reference kernels, for A/B timing
-// through any entry point without code changes; backendEnv picks the
-// process-wide GEMM backend by name ("naive", "blocked", "tiled").
+// through any entry point without code changes.
 const (
 	workersEnv = "PASNET_KERNEL_WORKERS"
 	naiveEnv   = "PASNET_KERNEL_NAIVE"
-	backendEnv = "PASNET_KERNEL_BACKEND"
 )
-
-// Backend selects the GEMM implementation behind every kernel entry point.
-type Backend int32
-
-const (
-	// BackendNaive is the retained scalar reference: single-threaded,
-	// unblocked loop nests (exactly SetNaive(true)).
-	BackendNaive Backend = iota
-	// BackendBlocked is the PR 1 cache-blocked kernel: worker-parallel
-	// row chunks with k/n blocking, accumulating straight into dst.
-	BackendBlocked
-	// BackendTiled is the register-tiled kernel: packed A-tile/B-panel
-	// buffers feeding a 6×4 microkernel with unrolled register
-	// accumulators (see tiled.go). It is the default.
-	BackendTiled
-)
-
-// String names a backend the way backendEnv spells it.
-func (b Backend) String() string {
-	switch b {
-	case BackendNaive:
-		return "naive"
-	case BackendBlocked:
-		return "blocked"
-	default:
-		return "tiled"
-	}
-}
 
 var (
 	workers  atomic.Int64
 	useNaive atomic.Bool
-	// useTiled picks between the tiled and blocked lowered kernels when
-	// the naive override is off. Both knobs together encode the active
-	// Backend; keeping them separate lets SetNaive(true)/SetNaive(false)
-	// round-trip without forgetting which lowered backend was selected.
-	useTiled atomic.Bool
 
 	poolOnce sync.Once
 	jobs     chan poolJob
@@ -81,14 +46,6 @@ func init() {
 		}
 	}
 	workers.Store(int64(n))
-	useTiled.Store(true)
-	switch os.Getenv(backendEnv) {
-	case "naive":
-		useNaive.Store(true)
-	case "blocked":
-		useTiled.Store(false)
-	case "tiled", "":
-	}
 	if os.Getenv(naiveEnv) == "1" {
 		useNaive.Store(true)
 	}
@@ -107,46 +64,15 @@ func SetWorkers(n int) int {
 	return int(workers.Swap(int64(n)))
 }
 
-// SetNaive routes Conv2D and MatMul through the retained naive reference
-// loops instead of the lowered kernels, and returns the previous setting.
-// It exists so benchmarks and equivalence tests can compare the two paths
-// through the full protocol stack. SetNaive(false) restores whichever
-// lowered backend (blocked or tiled) was last selected.
+// SetNaive routes Conv2D and every GEMM variant through the retained naive
+// reference loops instead of the tiled kernel, and returns the previous
+// setting. It exists so benchmarks and equivalence tests can compare the
+// two paths through the full protocol stack; both produce bit-identical
+// results in both element domains.
 func SetNaive(on bool) bool { return useNaive.Swap(on) }
 
 // Naive reports whether the naive reference path is forced.
 func Naive() bool { return useNaive.Load() }
-
-// SetBackend selects the GEMM backend for every kernel entry point and
-// returns the previous one. All three backends produce bit-identical
-// results in both element domains (float64 per-element accumulation runs
-// in strictly ascending k order everywhere), so the switch is purely a
-// performance knob — the equivalence property tests pin this.
-func SetBackend(b Backend) Backend {
-	prev := ActiveBackend()
-	switch b {
-	case BackendNaive:
-		useNaive.Store(true)
-	case BackendBlocked:
-		useNaive.Store(false)
-		useTiled.Store(false)
-	default:
-		useNaive.Store(false)
-		useTiled.Store(true)
-	}
-	return prev
-}
-
-// ActiveBackend reports the backend kernel entry points currently route to.
-func ActiveBackend() Backend {
-	if useNaive.Load() {
-		return BackendNaive
-	}
-	if useTiled.Load() {
-		return BackendTiled
-	}
-	return BackendBlocked
-}
 
 // poolJob is one chunk of a parallelFor.
 type poolJob struct {

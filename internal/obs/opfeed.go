@@ -7,12 +7,12 @@ import (
 	"pasnet/internal/hwmodel"
 )
 
-// OpFeed accumulates sampled per-operator online timings from serving
-// sessions. It is the always-on, low-overhead sibling of the pi
-// engine's RecordOps tracer: sessions record only every Nth flush, and
-// the feed keeps running per-key aggregates instead of per-occurrence
-// slices, so a router can serve indefinitely and still harvest a
-// calibration-grade latency table at any moment.
+// OpFeed accumulates per-operator online timings from pi engines: the
+// one per-op timing path. Serving sessions record every Nth flush and a
+// calibration run records every op, and the feed keeps running per-key
+// aggregates instead of per-occurrence slices, so a router can serve
+// indefinitely and still harvest a calibration-grade latency table at
+// any moment.
 type OpFeed struct {
 	mu   sync.Mutex
 	aggs map[string]*opAgg
@@ -22,7 +22,20 @@ type OpFeed struct {
 type opAgg struct {
 	op     hwmodel.NetOp
 	rowSec float64 // sum over samples of (seconds / rows)
+	sec    float64 // sum over samples of seconds
 	n      int64
+}
+
+// OpStat is one operator key's aggregate, as read by Stats.
+type OpStat struct {
+	// Op is the operator identity (kind and geometry) the key names.
+	Op hwmodel.NetOp
+	// Samples is the number of timings recorded under the key.
+	Samples int64
+	// RowSec is the mean per-row seconds over the samples.
+	RowSec float64
+	// Sec is the summed wall seconds over the samples, whole flushes.
+	Sec float64
 }
 
 // Record folds one sampled op timing into the feed.
@@ -42,6 +55,7 @@ func (f *OpFeed) Record(kind hwmodel.OpKind, shape hwmodel.OpShape, rows int, se
 		f.aggs[key] = a
 	}
 	a.rowSec += seconds / float64(rows)
+	a.sec += seconds
 	a.n++
 	f.mu.Unlock()
 }
@@ -81,16 +95,25 @@ func (f *OpFeed) Reset() {
 	f.mu.Unlock()
 }
 
-// HarvestLUT folds the feed into a hwmodel.LUT the same way
-// autodeploy.Calibrate fits its probe readings: each key's measured
-// TotalSec is its mean per-row seconds, the comp/comm split is taken
-// pro-rata from the analytic model (measurement sees only wall time),
-// traffic and round counts are copied from it, and per-kind
-// measured/analytic scale ratios let unprobed geometries fall back to
-// a rescaled analytic estimate. The result round-trips through the
-// PASLUT1 artifact (hwmodel.WriteFile/ReadLUTFile) and feeds
-// nas.Options.LUT, closing the serve→recalibrate→search loop without
-// an owned probe transport.
+// Stats returns every operator key's aggregate, keyed by NetOp.Key().
+func (f *OpFeed) Stats() map[string]OpStat {
+	if f == nil {
+		return nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	stats := make(map[string]OpStat, len(f.aggs))
+	for key, a := range f.aggs {
+		stats[key] = OpStat{Op: a.op, Samples: a.n, RowSec: a.rowSec / float64(a.n), Sec: a.sec}
+	}
+	return stats
+}
+
+// HarvestLUT fits the feed into a hwmodel.LUT with hwmodel.FitLUT, each
+// key's measurement being its mean per-row seconds. The result
+// round-trips through the PASLUT1 artifact (hwmodel.WriteFile/
+// ReadLUTFile) and feeds nas.Options.LUT, closing the
+// serve→recalibrate→search loop without an owned probe transport.
 func (f *OpFeed) HarvestLUT(hw hwmodel.Config, source string) (*hwmodel.LUT, error) {
 	if err := hw.Validate(); err != nil {
 		return nil, fmt.Errorf("obs: harvest analytic fallback: %w", err)
@@ -98,53 +121,16 @@ func (f *OpFeed) HarvestLUT(hw hwmodel.Config, source string) (*hwmodel.LUT, err
 	if f == nil {
 		return nil, fmt.Errorf("obs: harvest of nil op feed")
 	}
-	f.mu.Lock()
-	type reading struct {
-		op   hwmodel.NetOp
-		mean float64
-	}
-	readings := make(map[string]reading, len(f.aggs))
-	for key, a := range f.aggs {
-		readings[key] = reading{op: a.op, mean: a.rowSec / float64(a.n)}
-	}
-	f.mu.Unlock()
-	if len(readings) == 0 {
+	stats := f.Stats()
+	if len(stats) == 0 {
 		return nil, fmt.Errorf("obs: op feed has no samples to harvest")
 	}
-
-	lut := hwmodel.NewLUT(hw)
 	if source == "" {
 		source = "harvested/obs"
 	}
-	lut.Source = source
-	kindMeas := map[string]float64{}
-	kindAna := map[string]float64{}
-	for key, rd := range readings {
-		ana := hw.Op(rd.op.Kind, rd.op.Shape)
-		c := hwmodel.Cost{TotalSec: rd.mean, CommBits: ana.CommBits, Rounds: ana.Rounds}
-		if ana.TotalSec > 0 {
-			c.CompSec = rd.mean * ana.CompSec / ana.TotalSec
-			// Guard the rounding-induced tiny negative remainder the
-			// artifact validator rightly rejects.
-			if c.CommSec = rd.mean - c.CompSec; c.CommSec < 0 {
-				c.CommSec = 0
-			}
-		} else {
-			c.CompSec = rd.mean
-		}
-		lut.Entries[key] = c
-		kind := rd.op.Kind.String()
-		kindMeas[kind] += rd.mean
-		kindAna[kind] += ana.TotalSec
+	readings := make([]hwmodel.Measured, 0, len(stats))
+	for _, st := range stats {
+		readings = append(readings, hwmodel.Measured{Op: st.Op, Sec: st.RowSec})
 	}
-	scales := map[string]float64{}
-	for kind, meas := range kindMeas {
-		if ana := kindAna[kind]; ana > 0 && meas > 0 {
-			scales[kind] = meas / ana
-		}
-	}
-	if len(scales) > 0 {
-		lut.Scales = scales
-	}
-	return lut, nil
+	return hwmodel.FitLUT(hw, source, readings), nil
 }

@@ -45,10 +45,11 @@ const (
 // error frames) rather than re-reading the wire, so the two endpoints
 // of a link report symmetric totals.
 //
-// The concurrent send+recv used by the Exchange helpers makes the
-// direction flip racy for that pattern; the count remains a faithful
-// lower bound and is exact for the strictly alternating request/reply
-// protocol the serving loops speak.
+// Byte and frame counts are exact. The round count is not: it is a
+// send→recv flip count, and every Beaver opening goes through the
+// Exchange helpers, whose concurrent send and receive make the flip
+// racy — one program's rounds per flush can read differently from run
+// to run. Treat it as an estimate, never as a deterministic figure.
 type WireConn struct {
 	inner transport.Conn
 

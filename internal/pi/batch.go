@@ -467,6 +467,11 @@ func NewSessionOpts(p *mpc.Party, m *models.Model, expect []int, opts SessionOpt
 	if err != nil {
 		return nil, err
 	}
+	return newSession(p, prog, expect, opts)
+}
+
+// newSession is NewSessionOpts for an already-compiled program.
+func newSession(p *mpc.Party, prog *Program, expect []int, opts SessionOptions) (*Session, error) {
 	eng := NewEngine(prog)
 	eng.SetFixedMasks(opts.FixedMasks)
 	if err := eng.Setup(p); err != nil {

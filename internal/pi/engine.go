@@ -29,15 +29,10 @@ type Engine struct {
 	// fixedWs holds the per-weight opened F = W−b, parallel to weights,
 	// when fixedMasks is on.
 	fixedWs []*mpc.FixedWeight
-	// recordOps enables per-op wall-time tracing into timings; the
-	// measurements feed latency-LUT calibration (internal/autodeploy).
-	recordOps bool
-	timings   []OpTiming
-	// feed is the always-on sampled sibling of recordOps: every
-	// feedEvery-th flush streams its per-op timings into the shared
-	// obs.OpFeed aggregate instead of a per-occurrence slice, so a
-	// serving session pays the tracing clock reads only on sampled
-	// flushes and allocates nothing either way.
+	// feed, when set, receives the per-op timings of every feedEvery-th
+	// flush as running per-key aggregates, so a serving session pays the
+	// tracing clock reads only on sampled flushes and allocates nothing
+	// either way.
 	feed      *obs.OpFeed
 	feedEvery int
 	feedFlush int64
@@ -54,23 +49,10 @@ func (e *Engine) SetFixedMasks(on bool) { e.fixedMasks = on }
 // FixedMasks reports the engine's weight-mask mode.
 func (e *Engine) FixedMasks() bool { return e.fixedMasks }
 
-// SetRecordOps toggles per-op wall-time tracing. Recording is local to
-// this engine: the peer needs no matching toggle and the protocol stream
-// is unchanged.
-func (e *Engine) SetRecordOps(on bool) { e.recordOps = on }
-
-// TakeOpTimings returns the timings accumulated since the last call and
-// resets the buffer.
-func (e *Engine) TakeOpTimings() []OpTiming {
-	t := e.timings
-	e.timings = nil
-	return t
-}
-
 // SetOpFeed installs a sampled per-op timing feed: every every-th Infer
-// call traces its operators into feed's running aggregates. Like
-// SetRecordOps it is local to this engine — the peer needs no matching
-// toggle and the protocol stream is unchanged. every < 1 defaults to 1
+// call traces its operators into feed's running aggregates. Sampling is
+// local to this engine — the peer needs no matching toggle and the
+// protocol stream is unchanged. every < 1 defaults to 1
 // (sample every flush); a nil feed disables sampling.
 func (e *Engine) SetOpFeed(feed *obs.OpFeed, every int) {
 	if every < 1 {
@@ -172,7 +154,7 @@ func (e *Engine) run(prog *Program, x mpc.Share, widx *int) (mpc.Share, error) {
 		op := &prog.Ops[i]
 		// Residuals time only their Add below (the branch ops trace
 		// themselves through the recursion); flatten is a free reshape.
-		trace := (e.recordOps || e.feedNow) && op.kind != opResidual && op.kind != opFlatten
+		trace := e.feedNow && op.kind != opResidual && op.kind != opFlatten
 		var inShape []int
 		var opStart time.Time
 		if trace {
@@ -269,40 +251,16 @@ func (e *Engine) run(prog *Program, x mpc.Share, widx *int) (mpc.Share, error) {
 			}
 			addStart := time.Now()
 			x = p.Add(body, short)
-			if e.recordOps || e.feedNow {
-				addSec := time.Since(addStart).Seconds()
-				addShape := hwmodel.OpShape{FI: x.Shape[2], IC: x.Shape[1]}
-				if e.recordOps {
-					e.timings = append(e.timings, OpTiming{
-						Name:    op.name,
-						Kind:    hwmodel.OpAdd,
-						Shape:   addShape,
-						Rows:    x.Shape[0],
-						Seconds: addSec,
-					})
-				}
-				if e.feedNow {
-					e.feed.Record(hwmodel.OpAdd, addShape, x.Shape[0], addSec)
-				}
+			if e.feedNow {
+				e.feed.Record(hwmodel.OpAdd, hwmodel.OpShape{FI: x.Shape[2], IC: x.Shape[1]},
+					x.Shape[0], time.Since(addStart).Seconds())
 			}
 		default:
 			return mpc.Share{}, fmt.Errorf("pi: unknown op kind %d", op.kind)
 		}
 		if trace {
 			kind, shape := traceOp(op, inShape)
-			opSec := time.Since(opStart).Seconds()
-			if e.recordOps {
-				e.timings = append(e.timings, OpTiming{
-					Name:    op.name,
-					Kind:    kind,
-					Shape:   shape,
-					Rows:    inShape[0],
-					Seconds: opSec,
-				})
-			}
-			if e.feedNow {
-				e.feed.Record(kind, shape, inShape[0], opSec)
-			}
+			e.feed.Record(kind, shape, inShape[0], time.Since(opStart).Seconds())
 		}
 	}
 	return x, nil

@@ -1,33 +1,20 @@
 package pi
 
 import (
-	"sort"
+	"math"
 	"testing"
 
 	"pasnet/internal/hwmodel"
 	"pasnet/internal/models"
+	"pasnet/internal/obs"
 	"pasnet/internal/tensor"
 )
 
-// opKeys returns the sorted LUT keys of an op list, dropping identity ops
-// (culled activations compile to nothing, so no timing can exist for them).
-func opKeys(ops []hwmodel.NetOp) []string {
-	var keys []string
-	for _, op := range ops {
-		if op.Kind == hwmodel.OpIdentity {
-			continue
-		}
-		keys = append(keys, op.Key())
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// TestRecordOpsMatchesTrainScaleOps pins the calibration contract: with
-// Config.TrainScaleOps, the recorded op list and the executed per-op
-// timing trace name exactly the same LUT keys, so measured wall times can
-// be written into the table the NAS then reads.
-func TestRecordOpsMatchesTrainScaleOps(t *testing.T) {
+// TestOpFeedMatchesTrainScaleOps pins the calibration contract: with
+// Config.TrainScaleOps, a run's op feed holds exactly the LUT keys of the
+// recorded op list, each sampled once per occurrence, so measured wall
+// times can be written into the table the NAS then reads.
+func TestOpFeedMatchesTrainScaleOps(t *testing.T) {
 	for _, backbone := range []string{"resnet18", "mobilenetv2"} {
 		cfg := models.CIFARConfig(0.0625, 11)
 		cfg.InputHW = 8
@@ -37,28 +24,33 @@ func TestRecordOpsMatchesTrainScaleOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunOpt(m, hwmodel.DefaultConfig(), tensor.New(2, 3, 8, 8), 5, RunOptions{RecordOps: true})
-		if err != nil {
+		feed := &obs.OpFeed{}
+		if _, err := RunOpt(m, hwmodel.DefaultConfig(), tensor.New(2, 3, 8, 8), 5, RunOptions{OpFeed: feed}); err != nil {
 			t.Fatalf("%s: %v", backbone, err)
 		}
-		var traced []string
-		for _, tm := range res.OpTimings {
-			if tm.Rows != 2 {
-				t.Fatalf("%s: op %s saw %d rows, want 2", backbone, tm.Name, tm.Rows)
+		// Culled activations compile to nothing, so identity ops are
+		// never fed.
+		want := map[string]int64{}
+		for _, op := range m.Ops {
+			if op.Kind != hwmodel.OpIdentity {
+				want[op.Key()]++
 			}
-			if tm.Seconds < 0 {
-				t.Fatalf("%s: op %s has negative wall time", backbone, tm.Name)
+		}
+		stats := feed.Stats()
+		if len(stats) != len(want) {
+			t.Fatalf("%s: feed has %d keys, op list has %d", backbone, len(stats), len(want))
+		}
+		for key, n := range want {
+			st, ok := stats[key]
+			if !ok {
+				t.Fatalf("%s: op list key %q never fed", backbone, key)
 			}
-			traced = append(traced, tm.Key())
-		}
-		sort.Strings(traced)
-		want := opKeys(m.Ops)
-		if len(traced) != len(want) {
-			t.Fatalf("%s: traced %d ops, op list has %d", backbone, len(traced), len(want))
-		}
-		for i := range want {
-			if traced[i] != want[i] {
-				t.Fatalf("%s: traced key %q != recorded op key %q", backbone, traced[i], want[i])
+			if st.Samples != n {
+				t.Fatalf("%s: key %q sampled %d times, op list has it %d times", backbone, key, st.Samples, n)
+			}
+			// Every sample covered the run's 2 rows.
+			if st.Sec < 0 || math.Abs(st.Sec-2*st.RowSec*float64(st.Samples)) > 1e-9*(1+st.Sec) {
+				t.Fatalf("%s: key %q sums %v s, want 2 rows × %d × %v s", backbone, key, st.Sec, st.Samples, st.RowSec)
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"pasnet/internal/hwmodel"
 	"pasnet/internal/models"
 	"pasnet/internal/mpc"
+	"pasnet/internal/obs"
 	"pasnet/internal/rng"
 	"pasnet/internal/tensor"
 	"pasnet/internal/transport"
@@ -56,11 +57,6 @@ type Result struct {
 	// Modeled is the FPGA hardware model's cost for the network at paper
 	// scale (from models.Model.Ops), the basis of the Table I columns.
 	Modeled hwmodel.Cost
-	// OpTimings is party 1's per-op wall-time trace, present when
-	// RunOptions.RecordOps is set. Party 1 runs in lockstep with party 0,
-	// so each entry includes the protocol waits — the measured analogue of
-	// the hwmodel per-op cost, used for latency-LUT calibration.
-	OpTimings []OpTiming
 }
 
 // RunOptions selects execution-phase behavior for Run/RunBatch variants.
@@ -75,9 +71,12 @@ type RunOptions struct {
 	// SessionOptions.FixedMasks): weight-side openings collapse into the
 	// one-time setup, and each flush opens only the activation side.
 	FixedMasks bool
-	// RecordOps captures party 1's per-op wall times into
-	// Result.OpTimings (latency-LUT calibration input).
-	RecordOps bool
+	// OpFeed, when set, receives party 1's per-op wall times for every
+	// operator of the run (the engine's op feed at sample-every-1). Party 1
+	// runs in lockstep with party 0, so each reading includes the protocol
+	// waits — the measured analogue of the hwmodel per-op cost, used for
+	// latency-LUT calibration.
+	OpFeed *obs.OpFeed
 }
 
 // Run executes a full private inference of a trained model on input x
@@ -98,7 +97,7 @@ func RunOpt(m *models.Model, hw hwmodel.Config, x *tensor.Tensor, seed uint64, o
 	for i := range counts {
 		counts[i] = 1
 	}
-	return runPacked(m, hw, x, counts, seed, opt)
+	return runSessions(m, hw, x, counts, seed, opt)
 }
 
 // RunBatch packs K independent queries into one N=K secure evaluation:
@@ -115,11 +114,23 @@ func RunBatchOpt(m *models.Model, hw hwmodel.Config, queries []*tensor.Tensor, s
 	if err != nil {
 		return nil, err
 	}
-	return runPacked(m, hw, packed, counts, seed, opt)
+	return runSessions(m, hw, packed, counts, seed, opt)
 }
 
-// runPacked is the shared two-party executor behind Run and RunBatch.
-func runPacked(m *models.Model, hw hwmodel.Config, x *tensor.Tensor, counts []int, seed uint64, opt RunOptions) (*Result, error) {
+// storePair is Run's in-memory SourceProvider: the offline phase's two
+// stores, one per party, built for the one geometry the run evaluates.
+type storePair [2]*corr.Store
+
+func (sp storePair) SourceFor(party int, _ []int) (mpc.CorrelationSource, error) {
+	return sp[party], nil
+}
+
+// runSessions executes Run and RunBatch as a two-party deployment in
+// miniature: two Sessions over an in-memory pipe, party 1 querying once
+// and party 0 serving once, so the in-process runs measure exactly the
+// protocol a deployment speaks — including its per-flush shape and
+// source-stamp control frames.
+func runSessions(m *models.Model, hw hwmodel.Config, x *tensor.Tensor, counts []int, seed uint64, opt RunOptions) (*Result, error) {
 	if m.Net == nil {
 		return nil, fmt.Errorf("pi: model %q has no trained network", m.Name)
 	}
@@ -132,7 +143,7 @@ func runPacked(m *models.Model, hw hwmodel.Config, x *tensor.Tensor, counts []in
 	// Offline phase: trace the correlation demand for this batch geometry
 	// and pre-generate both parties' stores off the same dealer stream the
 	// live path would consume lazily.
-	var stores [2]*corr.Store
+	var provider SourceProvider
 	var offlineSeconds float64
 	if opt.Preprocess {
 		offStart := time.Now()
@@ -140,10 +151,11 @@ func runPacked(m *models.Model, hw hwmodel.Config, x *tensor.Tensor, counts []in
 		if err != nil {
 			return nil, err
 		}
-		stores[0], stores[1], err = corr.BuildPair(tape, rng.New(seed), seed)
+		s0, s1, err := corr.BuildPair(tape, rng.New(seed), seed)
 		if err != nil {
 			return nil, err
 		}
+		provider = storePair{s0, s1}
 		offlineSeconds = time.Since(offStart).Seconds()
 	}
 
@@ -155,7 +167,6 @@ func runPacked(m *models.Model, hw hwmodel.Config, x *tensor.Tensor, counts []in
 	}
 	var setupBytes int64
 	outputs := [2][]float64{}
-	engines := [2]*Engine{}
 	errs := [2]error{}
 	var setupMu sync.Mutex
 	// The online clock starts only after both parties finish the one-time
@@ -173,15 +184,13 @@ func runPacked(m *models.Model, hw hwmodel.Config, x *tensor.Tensor, counts []in
 				if r := recover(); r != nil {
 					errs[i] = fmt.Errorf("pi: party %d panicked: %v", i, r)
 				}
+				// A failed party hangs up so its peer's receives end
+				// instead of waiting forever.
+				if errs[i] != nil {
+					p.Conn.Close()
+				}
 			}()
-			if stores[i] != nil {
-				p.Source = stores[i]
-			}
-			eng := NewEngine(prog)
-			eng.SetFixedMasks(opt.FixedMasks)
-			eng.SetRecordOps(opt.RecordOps && i == 1)
-			engines[i] = eng
-			err := eng.Setup(p)
+			sess, err := newSession(p, prog, nil, SessionOptions{FixedMasks: opt.FixedMasks})
 			setupMu.Lock()
 			setupBytes += p.Conn.Stats().BytesSent
 			setupMu.Unlock()
@@ -192,26 +201,17 @@ func runPacked(m *models.Model, hw hwmodel.Config, x *tensor.Tensor, counts []in
 			}
 			<-startOnline
 
-			var enc []uint64
+			sess.UsePreprocessed(provider)
 			if p.ID == 1 {
-				enc = p.EncodeTensor(x.Data)
-			}
-			xs, err := p.ShareInput(1, enc, x.Shape...)
-			if err != nil {
-				errs[i] = err
+				sess.eng.SetOpFeed(opt.OpFeed, 1)
+				outputs[i], errs[i] = sess.Query(x)
 				return
 			}
-			out, err := eng.Infer(xs)
-			if err != nil {
-				errs[i] = err
-				return
+			out, done, err := sess.ServeOne()
+			if err == nil && done {
+				err = fmt.Errorf("pi: peer closed the session before querying")
 			}
-			vals, err := p.Reveal(out)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			outputs[i] = p.DecodeTensor(vals)
+			outputs[i], errs[i] = out, err
 		}(i, p)
 	}
 	setupWG.Wait()
@@ -237,9 +237,6 @@ func runPacked(m *models.Model, hw hwmodel.Config, x *tensor.Tensor, counts []in
 		OfflineSeconds: offlineSeconds,
 		Preprocessed:   opt.Preprocess,
 		Modeled:        hwmodel.NetworkCost(hw, m.Ops),
-	}
-	if opt.RecordOps {
-		res.OpTimings = engines[1].TakeOpTimings()
 	}
 	if batch > 0 {
 		res.OnlineBytesPerQuery = res.OnlineBytes / int64(batch)
