@@ -43,6 +43,9 @@ const (
 	KindMatMulFixedB
 	// KindConvFixedB is the convolution analogue of KindMatMulFixedB.
 	KindConvFixedB
+	// KindOT is a batch of random (1,4)-OTs with 2-bit messages, the
+	// precomputed OTs DReLU derandomizes online (see mpc.OTHalf).
+	KindOT
 )
 
 // String names the kind for demand diagnostics.
@@ -62,6 +65,8 @@ func (k Kind) String() string {
 		return "matmul-fixedb"
 	case KindConvFixedB:
 		return "conv-fixedb"
+	case KindOT:
+		return "ot"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -72,7 +77,7 @@ func (k Kind) String() string {
 type Demand struct {
 	// Kind is the correlation family.
 	Kind Kind
-	// N is the element count for hadamard, square and bit demands.
+	// N is the element count for hadamard, square, bit and OT demands.
 	N int
 	// M, K, P are the matmul dimensions (M×K @ K×P) for KindMatMul.
 	M, K, P int
@@ -189,4 +194,10 @@ func (r *Recorder) TakeConvFixedB(mask int, dims mpc.ConvDims) (a, z []uint64, e
 func (r *Recorder) TakeBits(n int) (ta, tb, tc mpc.BitShare, err error) {
 	r.tape = append(r.tape, Demand{Kind: KindBits, N: n})
 	return r.src.TakeBits(n)
+}
+
+// TakeOT implements mpc.CorrelationSource.
+func (r *Recorder) TakeOT(n int) ([]byte, error) {
+	r.tape = append(r.tape, Demand{Kind: KindOT, N: n})
+	return r.src.TakeOT(n)
 }

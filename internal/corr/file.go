@@ -6,11 +6,13 @@ import (
 	"hash/crc32"
 	"os"
 	"strings"
+
+	"pasnet/internal/mpc"
 )
 
 // On-disk store format (all integers little-endian):
 //
-//	magic   8 bytes  "PASCORR2"
+//	magic   8 bytes  "PASCORR3"
 //	body:
 //	  party   uint8
 //	  label   uint32                      preprocess-run stamp (see Label)
@@ -19,8 +21,12 @@ import (
 //	    kind  uint8
 //	    dims  kind-dependent uint32s      (n) | (m,k,p) | 10 conv fields |
 //	                                      (mask,m,k,p) | mask + 10 conv
-//	    payload                           uint64 words or raw bit bytes,
-//	                                      lengths derived from the dims
+//	    payload                           uint64 words; bit triples as three
+//	                                      arrays packed 8 bits per byte;
+//	                                      random OTs one byte per instance
+//	                                      (party 0) or two per byte (party
+//	                                      1, low nibble first) — lengths
+//	                                      derived from the dims and party
 //	trailer  uint32  CRC-32 (IEEE) of the body
 //
 // The trailer means a flipped byte or a truncated download fails loudly at
@@ -29,14 +35,16 @@ import (
 // allocation, so a hostile file cannot demand a pathological allocation.
 //
 // Version history: "PASCORR1" lacked the fixed weight-mask kinds
-// (KindMatMulFixedB / KindConvFixedB) and their mask-slot dim. The magic
-// is the version gate — any "PASCORR"-prefixed file of another version is
-// rejected with a regeneration hint rather than misparsed, in either
-// direction (old binary × new store, new binary × old store).
+// (KindMatMulFixedB / KindConvFixedB) and their mask-slot dim;
+// "PASCORR2" stored bit triples one byte per bit and had no random-OT
+// kind (KindOT). The magic is the version gate — any "PASCORR"-prefixed
+// file of another version is rejected with a regeneration hint rather
+// than misparsed, in either direction (old binary × new store, new
+// binary × old store).
 
 // storeMagic identifies a serialized correlation store at this binary's
 // format version.
-const storeMagic = "PASCORR2"
+const storeMagic = "PASCORR3"
 
 // storeMagicPrefix identifies any version of the store format.
 const storeMagicPrefix = "PASCORR"
@@ -49,7 +57,9 @@ func (s *Store) Encode() []byte {
 		la, lb, lz := s.tape[i].lens()
 		switch s.tape[i].Kind {
 		case KindBits:
-			size += 1 + 4 + 3*la
+			size += 1 + 4 + 3*mpc.PackedLen(la)
+		case KindOT:
+			size += 1 + 4 + otPayloadLen(s.party, s.tape[i].N)
 		case KindSquare:
 			size += 1 + 4 + 8*(la+lz)
 		case KindMatMul:
@@ -94,10 +104,14 @@ func (s *Store) Encode() []byte {
 		default:
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(d.N))
 		}
-		if d.Kind == KindBits {
-			buf = append(buf, e.ba...)
-			buf = append(buf, e.bb...)
-			buf = append(buf, e.bc...)
+		switch d.Kind {
+		case KindBits:
+			buf = append(buf, mpc.PackBits(e.ba)...)
+			buf = append(buf, mpc.PackBits(e.bb)...)
+			buf = append(buf, mpc.PackBits(e.bc)...)
+			continue
+		case KindOT:
+			buf = appendOT(buf, s.party, e.ot)
 			continue
 		}
 		buf = appendWords(buf, e.a)
@@ -116,7 +130,7 @@ func Decode(data []byte) (*Store, error) {
 	}
 	if string(data[:len(storeMagic)]) != storeMagic {
 		if string(data[:len(storeMagicPrefix)]) == storeMagicPrefix {
-			return nil, fmt.Errorf("corr: store file is format version %q but this binary reads %q — regenerate the store with this binary's preprocess step (the format changed with the fixed weight-mask correlation kinds)",
+			return nil, fmt.Errorf("corr: store file is format version %q but this binary reads %q — regenerate the store with this binary's preprocess step (store formats are not compatible across versions)",
 				string(data[:len(storeMagic)]), storeMagic)
 		}
 		return nil, fmt.Errorf("corr: not a correlation store file (bad magic)")
@@ -136,12 +150,14 @@ func Decode(data []byte) (*Store, error) {
 	// Two caps keep a hostile declared count from demanding pathological
 	// allocations: the remaining body bounds the entry table (every entry
 	// carries at least a kind byte, a dim word and — since validate
-	// rejects empty demands — real payload), and an absolute ceiling far
+	// rejects empty demands — real payload, at least one byte: minEntry
+	// is a one-instance receiver OT batch), and an absolute ceiling far
 	// above any real tape bounds the per-entry bookkeeping overhead. The
 	// entry table itself grows by append, so memory tracks the bytes the
 	// file actually contains rather than what its header promises.
 	const maxStoreEntries = 1 << 20
-	if count > maxStoreEntries || count > r.rest()/8 {
+	const minEntry = 1 + 4 + 1
+	if count > maxStoreEntries || count > r.rest()/minEntry {
 		return nil, fmt.Errorf("corr: store file declares %d correlations against %d body bytes (cap %d)", count, r.rest(), maxStoreEntries)
 	}
 	growCap := count
@@ -176,11 +192,14 @@ func Decode(data []byte) (*Store, error) {
 		}
 		la, lb, lz := d.lens()
 		var e entry
-		if d.Kind == KindBits {
-			e.ba = r.bits(la)
-			e.bb = r.bits(la)
-			e.bc = r.bits(la)
-		} else {
+		switch d.Kind {
+		case KindBits:
+			e.ba = r.packedBits(la)
+			e.bb = r.packedBits(la)
+			e.bc = r.packedBits(la)
+		case KindOT:
+			e.ot = r.ot(party, d.N)
+		default:
 			e.a = r.words(la)
 			e.b = r.words(lb)
 			e.z = r.words(lz)
@@ -286,10 +305,52 @@ func (r *byteReader) words(n int) []uint64 {
 	return out
 }
 
-func (r *byteReader) bits(n int) []byte {
-	b := r.take(n)
+// packedBits reads n bits packed 8 per byte (mpc.PackBits layout).
+func (r *byteReader) packedBits(n int) mpc.BitShare {
+	b := r.take(mpc.PackedLen(n))
 	if b == nil {
 		return nil
 	}
-	return append([]byte(nil), b...)
+	return mpc.UnpackBits(b, n)
+}
+
+// ot reads n random-OT halves in party's on-disk layout (see appendOT).
+func (r *byteReader) ot(party, n int) []byte {
+	b := r.take(otPayloadLen(party, n))
+	if b == nil {
+		return nil
+	}
+	if party == 0 {
+		return append([]byte(nil), b...)
+	}
+	out := make([]byte, n)
+	for i := range out {
+		out[i] = (b[i>>1] >> (4 * (i & 1))) & 0xf
+	}
+	return out
+}
+
+// otPayloadLen is the on-disk size of n random-OT halves: the sender's
+// four 2-bit messages fill a byte, the receiver's c|m_c<<2 is a nibble.
+func otPayloadLen(party, n int) int {
+	if party == 0 {
+		return n
+	}
+	return (n + 1) / 2
+}
+
+// appendOT appends n random-OT halves: party 0's bytes verbatim, party 1's
+// nibbles two per byte, low nibble first.
+func appendOT(buf []byte, party int, ot []byte) []byte {
+	if party == 0 {
+		return append(buf, ot...)
+	}
+	for i := 0; i < len(ot); i += 2 {
+		b := ot[i] & 0xf
+		if i+1 < len(ot) {
+			b |= ot[i+1] << 4
+		}
+		buf = append(buf, b)
+	}
+	return buf
 }

@@ -230,20 +230,23 @@ func TestFixedBFileRoundTrip(t *testing.T) {
 // magic, so rewriting the magic yields exactly what the other binary
 // version would produce/consume — both directions must fail with the
 // regeneration hint, not a misparse:
-//   - new binary × old store: a "PASCORR1" file decoded here;
-//   - old binary × new store: PASCORR1's decoder compared the magic by
-//     strict equality too, so the bump to "PASCORR2" (pinned below) makes
-//     it reject our files the same way.
+//   - new binary × old store: "PASCORR1" (no fixed-mask kinds) and
+//     "PASCORR2" (byte-per-bit triples, no random-OT kind) files decoded
+//     here;
+//   - old binary × new store: earlier decoders compared the magic by
+//     strict equality too, so the bump to "PASCORR3" (pinned below) makes
+//     them reject our files the same way; a future "PASCORR4" is rejected
+//     here alike.
 func TestStoreVersionGate(t *testing.T) {
-	if storeMagic != "PASCORR2" {
-		t.Fatalf("storeMagic = %q; the fixed weight-mask kinds shipped as PASCORR2 — bumping again needs a new version-gate test", storeMagic)
+	if storeMagic != "PASCORR3" {
+		t.Fatalf("storeMagic = %q; packed bits and the random-OT kind shipped as PASCORR3 — bumping again needs a new version-gate test", storeMagic)
 	}
 	s, err := BuildSeeded(testTape(), 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	good := s.Encode()
-	for _, other := range []string{"PASCORR1", "PASCORR3"} {
+	for _, other := range []string{"PASCORR1", "PASCORR2", "PASCORR4"} {
 		old := append([]byte(nil), good...)
 		copy(old, other)
 		_, err := Decode(old)

@@ -21,6 +21,8 @@ type entry struct {
 	a, b, z []uint64
 	// ba, bb, bc are the XOR halves of a bit-triple batch.
 	ba, bb, bc mpc.BitShare
+	// ot holds one byte per random OT: this party's mpc.OTHalf.
+	ot []byte
 }
 
 // Store is a preprocessed correlation tape: one party's halves of every
@@ -64,7 +66,8 @@ func (s *Store) Remaining() int { return len(s.entries) - s.cursor }
 func (s *Store) Tape() Tape { return s.tape }
 
 // lens returns the flat element counts (a, b, z) of the demand's
-// correlation material. b is 0 for square pairs.
+// correlation material. b is 0 for square pairs; OT batches report 0s
+// (their material is one byte per instance in entry.ot).
 func (d Demand) lens() (la, lb, lz int) {
 	switch d.Kind {
 	case KindHadamard, KindBits:
@@ -101,7 +104,7 @@ func (d Demand) fixedMaskLen() int {
 // both the generation and the decode path.
 func (d Demand) validate() error {
 	switch d.Kind {
-	case KindHadamard, KindSquare, KindBits:
+	case KindHadamard, KindSquare, KindBits, KindOT:
 		// A zero-length demand never occurs in practice (every share in
 		// the engine has positive size), and requiring real payload per
 		// entry lets the decoder bound its entry-table allocation by the
@@ -256,6 +259,26 @@ func build(tape Tape, r *rng.RNG, maskSeed uint64, want0, want1 bool) (*Store, *
 		}
 		la, lb, lz := d.lens()
 		switch d.Kind {
+		case KindOT:
+			// Dealer order: one word per instance (mpc.Dealer.RandomOTs).
+			var ot0, ot1 []byte
+			if want0 {
+				ot0 = make([]byte, d.N)
+				s0.entries[i].ot = ot0
+			}
+			if want1 {
+				ot1 = make([]byte, d.N)
+				s1.entries[i].ot = ot1
+			}
+			for j := 0; j < d.N; j++ {
+				w := r.Uint64()
+				if want0 {
+					ot0[j] = mpc.OTHalf(w, 0)
+				}
+				if want1 {
+					ot1[j] = mpc.OTHalf(w, 1)
+				}
+			}
 		case KindBits:
 			// Dealer order: (a, b) bit pairs interleaved, then the three
 			// XOR masks. c = a AND b is cheap enough to fold in here.
@@ -512,4 +535,13 @@ func (s *Store) TakeBits(n int) (ta, tb, tc mpc.BitShare, err error) {
 		return nil, nil, nil, err
 	}
 	return e.ba, e.bb, e.bc, nil
+}
+
+// TakeOT implements mpc.CorrelationSource.
+func (s *Store) TakeOT(n int) ([]byte, error) {
+	e, err := s.next(Demand{Kind: KindOT, N: n})
+	if err != nil {
+		return nil, err
+	}
+	return e.ot, nil
 }

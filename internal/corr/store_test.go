@@ -10,7 +10,8 @@ import (
 )
 
 // testTape exercises every correlation kind with mixed geometries,
-// including a grouped (depthwise) convolution.
+// including a grouped (depthwise) convolution and bit/OT batches whose
+// sizes leave padding in the packed on-disk layout.
 func testTape() Tape {
 	return Tape{
 		{Kind: KindConv, Conv: mpc.ConvDims{N: 2, InC: 3, H: 6, W: 6, OutC: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}},
@@ -20,6 +21,8 @@ func testTape() Tape {
 		{Kind: KindMatMul, M: 4, K: 9, P: 5},
 		{Kind: KindConv, Conv: mpc.ConvDims{N: 1, InC: 4, H: 5, W: 5, OutC: 4, KH: 3, KW: 3, Stride: 1, Pad: 1, Groups: 4}},
 		{Kind: KindHadamard, N: 7},
+		{Kind: KindOT, N: 33},
+		{Kind: KindBits, N: 13},
 	}
 }
 
@@ -100,6 +103,13 @@ func drainAgainstDealer(t *testing.T, s *Store, seed uint64, tape Tape) {
 			eqBits(t, "bits a", ga, wa)
 			eqBits(t, "bits b", gb, wb)
 			eqBits(t, "bits c", gc, wc)
+		case KindOT:
+			want := d.RandomOTs(dem.N)
+			got, err := s.TakeOT(dem.N)
+			if err != nil {
+				t.Fatalf("entry %d: %v", i, err)
+			}
+			eqBits(t, "ot", got, want)
 		}
 	}
 	if s.Remaining() != 0 {
@@ -165,6 +175,7 @@ func TestBuildDeterministicAcrossKernelSettings(t *testing.T) {
 			eqBits(t, "ba", s.entries[i].ba, ref.entries[i].ba)
 			eqBits(t, "bb", s.entries[i].bb, ref.entries[i].bb)
 			eqBits(t, "bc", s.entries[i].bc, ref.entries[i].bc)
+			eqBits(t, "ot", s.entries[i].ot, ref.entries[i].ot)
 		}
 	}
 }
@@ -244,10 +255,14 @@ func TestRecorderTape(t *testing.T) {
 	if _, _, _, err := rec.TakeBits(12); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := rec.TakeOT(6); err != nil {
+		t.Fatal(err)
+	}
 	want := Tape{
 		{Kind: KindHadamard, N: 5},
 		{Kind: KindConv, Conv: mpc.ConvDims{N: 1, InC: 1, H: 4, W: 4, OutC: 2, KH: 3, KW: 3, Stride: 1, Pad: 1}},
 		{Kind: KindBits, N: 12},
+		{Kind: KindOT, N: 6},
 	}
 	if !rec.Tape().Equal(want) {
 		t.Fatalf("recorded tape %v != %v", rec.Tape(), want)

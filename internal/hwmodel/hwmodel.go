@@ -170,7 +170,10 @@ func (c Config) comm(bits float64) (sec float64) {
 }
 
 // otFlow returns the cost of one 2PC-OT comparison flow over N elements
-// (paper Eq. 5-10): CMP2..4 + COMM1..4.
+// (paper Eq. 5-10): CMP2..4 + COMM1..4. It models the paper's Fig. 4 flow
+// on the paper's FPGA. The CPU protocol the server deploys (DReLU on
+// dealer-precomputed OTs, see mpc.Party.DReLU) is priced through measured
+// LUTs instead (autodeploy.Calibrate, Router.HarvestLUT).
 func (c Config) otFlow(n float64) Cost {
 	w := float64(c.RingBits)  // 32
 	u := float64(c.Chunks)    // 16

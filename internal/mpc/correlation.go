@@ -7,7 +7,8 @@ package mpc
 // material generated ahead of time, which is the standard 2PC deployment
 // split the paper's online latency numbers assume.
 //
-// Every method returns this party's additive (or XOR, for bits) halves.
+// Every method returns this party's additive (or XOR, for bits) halves;
+// TakeOT returns the party's sender or receiver half.
 // Implementations that can run dry or that validate geometry return a
 // descriptive error; the Party op wraps it with protocol context and both
 // parties fail symmetrically before any bytes hit the transport, so a
@@ -31,6 +32,10 @@ type CorrelationSource interface {
 	TakeConvFixedB(mask int, dims ConvDims) (a, z []uint64, err error)
 	// TakeBits returns XOR shares of n AND triples (c = a AND b bitwise).
 	TakeBits(n int) (ta, tb, tc BitShare, err error)
+	// TakeOT returns this party's halves of n random (1,4)-OTs with 2-bit
+	// messages, one byte per instance: the sender (party 0) holds
+	// m0|m1<<2|m2<<4|m3<<6, the receiver (party 1) holds c|m_c<<2.
+	TakeOT(n int) ([]byte, error)
 }
 
 // The Dealer is the always-fresh CorrelationSource: generation happens at
@@ -64,4 +69,9 @@ func (d *Dealer) TakeConv(dims ConvDims) (a, b, z []uint64, err error) {
 func (d *Dealer) TakeBits(n int) (ta, tb, tc BitShare, err error) {
 	ta, tb, tc = d.BitTriples(n)
 	return ta, tb, tc, nil
+}
+
+// TakeOT implements CorrelationSource.
+func (d *Dealer) TakeOT(n int) ([]byte, error) {
+	return d.RandomOTs(n), nil
 }

@@ -122,3 +122,30 @@ func (d *Dealer) BitTriples(n int) (a, b, c BitShare) {
 	}
 	return d.pickBits(plainA), d.pickBits(plainB), d.pickBits(plainC)
 }
+
+// RandomOTs returns this party's half of n random (1,4)-OTs over 2-bit
+// messages, the correlation DReLU derandomizes online (Beaver's OT
+// precomputation). Each instance consumes one stream word w: bits 0–7 are
+// the sender's four messages m0..m3 and bits 8–9 the receiver's random
+// choice c. See OTHalf for the per-party encoding.
+func (d *Dealer) RandomOTs(n int) []byte {
+	d.Issued++
+	out := make([]byte, n)
+	for i := range out {
+		out[i] = OTHalf(d.r.Uint64(), d.party)
+	}
+	return out
+}
+
+// OTHalf maps one dealer word w to party's half of a random (1,4)-OT: the
+// sender (party 0) gets m0|m1<<2|m2<<4|m3<<6 with m_g = (w>>2g)&3, the
+// receiver (party 1) gets c|m_c<<2 with c = (w>>8)&3. It is exported so
+// the preprocessing store replays the dealer's draws exactly.
+func OTHalf(w uint64, party int) byte {
+	if party == 0 {
+		return byte(w)
+	}
+	c := (w >> 8) & 3
+	mc := (w >> (2 * c)) & 3
+	return byte(c | mc<<2)
+}

@@ -27,7 +27,7 @@ type Party struct {
 	Source CorrelationSource
 	// Codec fixes the fixed-point precision for truncation.
 	Codec fixed.Codec64
-	// Rand is this party's private randomness (masks, OT secrets).
+	// Rand is this party's private randomness (input masks, DReLU table masks).
 	Rand *rng.RNG
 
 	// scr holds scratch buffers reused across Beaver openings so the hot
@@ -379,7 +379,8 @@ func (p *Party) openPairUneven(x, a, y, b []uint64) (e, f []uint64, err error) {
 }
 
 // bitAnd computes XOR shares of a AND b elementwise via dealer bit triples
-// (one exchange round for the whole batch).
+// (one exchange round for the whole batch). The openings d = a⊕ta and
+// e = b⊕tb travel packed 8 bits per byte: d in bits [0,n), e in [n,2n).
 func (p *Party) bitAnd(a, b BitShare) (BitShare, error) {
 	n := len(a)
 	if len(b) != n {
@@ -389,18 +390,19 @@ func (p *Party) bitAnd(a, b BitShare) (BitShare, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mpc: bit triples: %w", err)
 	}
-	mine := make([]byte, 2*n)
+	mine := make(BitShare, 2*n)
 	for i := 0; i < n; i++ {
 		mine[i] = a[i] ^ ta[i]
 		mine[n+i] = b[i] ^ tb[i]
 	}
-	theirs, err := transport.ExchangeBytes(p.Conn, mine)
+	packed, err := transport.ExchangeBytes(p.Conn, PackBits(mine))
 	if err != nil {
 		return nil, fmt.Errorf("mpc: bitAnd open: %w", err)
 	}
-	if len(theirs) != 2*n {
-		return nil, fmt.Errorf("mpc: bitAnd open length %d != %d", len(theirs), 2*n)
+	if len(packed) != PackedLen(2*n) {
+		return nil, fmt.Errorf("mpc: bitAnd open length %d != %d", len(packed), PackedLen(2*n))
 	}
+	theirs := UnpackBits(packed, 2*n)
 	out := make(BitShare, n)
 	for i := 0; i < n; i++ {
 		d := mine[i] ^ theirs[i]

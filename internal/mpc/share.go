@@ -59,8 +59,33 @@ func (s Share) Reshape(shape ...int) Share {
 	return Share{Shape: append([]int(nil), shape...), V: s.V}
 }
 
-// BitShare is one party's XOR share of a vector of bits (one byte per bit).
+// BitShare is one party's XOR share of a vector of bits (one byte per bit,
+// only the low bit significant). Bits are packed 8 per byte only on the
+// wire and on disk (PackBits).
 type BitShare []byte
+
+// PackedLen is the byte length of n bits packed 8 per byte.
+func PackedLen(n int) int { return (n + 7) / 8 }
+
+// PackBits packs the low bit of every element 8 per byte, LSB first: bit i
+// lands in byte i/8 at position i%8.
+func PackBits(bits BitShare) []byte {
+	out := make([]byte, PackedLen(len(bits)))
+	for i, b := range bits {
+		out[i>>3] |= (b & 1) << (i & 7)
+	}
+	return out
+}
+
+// UnpackBits inverts PackBits for n bits; packed must hold PackedLen(n)
+// bytes. Padding bits past n are ignored.
+func UnpackBits(packed []byte, n int) BitShare {
+	out := make(BitShare, n)
+	for i := range out {
+		out[i] = (packed[i>>3] >> (i & 7)) & 1
+	}
+	return out
+}
 
 // SplitSecret additively shares a secret vector using randomness from r,
 // returning the two halves. It is a dealer-side helper used by tests and

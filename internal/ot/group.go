@@ -1,4 +1,4 @@
-// Package ot implements the oblivious-transfer building block behind
+// Package ot implements the paper's oblivious-transfer flow behind
 // PASNet's 2PC comparison protocol (paper Sec. II-C and Fig. 4).
 //
 // The group is the multiplicative group of the Mersenne prime field
@@ -12,10 +12,15 @@
 //  3. S -> R : encrypted 4-entry table Enc(M0) per chunk         (COMM3)
 //  4. R -> S : result feedback share                              (COMM4)
 //
-// Message 4 belongs to the comparison protocol in package mpc; this package
-// provides messages 1-3. The construction is semi-honest simulation grade:
-// the field is small and the key-derivation hash is a non-cryptographic
-// mixer (see DESIGN.md §1 for the substitution rationale).
+// This package provides messages 1-3. It is the reference implementation
+// of the paper's flow, not the deployed one: mpc.Party.DReLU runs on
+// random (1,4)-OTs precomputed by the trusted dealer and derandomized
+// online with two messages and no exponentiation. The flow here is what
+// hwmodel prices on the paper's FPGA and what BenchmarkOT1of4Batch and
+// the serving benchmark's OT probe time. The construction is
+// semi-honest simulation grade: the field is small and the
+// key-derivation hash is a non-cryptographic mixer (see DESIGN.md §1 for
+// the substitution rationale).
 package ot
 
 import "math/bits"

@@ -24,13 +24,13 @@ var ErrNoStore = errors.New("no preprocessed store for this geometry")
 
 // This file implements the pi layer of the offline/online deployment
 // split. A compiled program's correlation demand — which Beaver triples,
-// square pairs, matmul/conv triples and bit-triple batches the online
-// phase consumes, in what order and at what shapes — is a pure function of
-// the program and the input geometry. TraceTape records it once per batch
-// geometry by running the program through an in-process two-party pipe
-// with recording correlation sources; the preprocessor then generates that
-// tape ahead of time into corr.Stores, and the measured online phase
-// merely replays them.
+// square pairs, matmul/conv triples, bit-triple and random-OT batches the
+// online phase consumes, in what order and at what shapes — is a pure
+// function of the program and the input geometry. TraceTape records it
+// once per batch geometry by running the program through an in-process
+// two-party pipe with recording correlation sources; the preprocessor then
+// generates that tape ahead of time into corr.Stores, and the measured
+// online phase merely replays them.
 
 // zeroSource hands out all-zero correlations — a valid (degenerate)
 // triple, since 0 ⊙ 0 = 0 holds for every bilinear op. The demand trace
@@ -66,6 +66,11 @@ func (zeroSource) TakeConvFixedB(mask int, dims mpc.ConvDims) (a, z []uint64, er
 
 func (zeroSource) TakeBits(n int) (ta, tb, tc mpc.BitShare, err error) {
 	return make(mpc.BitShare, n), make(mpc.BitShare, n), make(mpc.BitShare, n), nil
+}
+
+func (zeroSource) TakeOT(n int) ([]byte, error) {
+	// All messages 0 and choice 0: a valid random OT (m_c = m_0 = 0).
+	return make([]byte, n), nil
 }
 
 // TraceTape runs the compiled program once over an in-process transport
