@@ -1,20 +1,20 @@
 // Command pasnet-server runs the paper's two-server private-inference
-// deployment over TCP, now with a batched multi-query pipeline and a
-// multi-model shard gateway: party 1 accepts client queries, packs
-// everything that arrives within a batching window into one N=K secure
-// evaluation against party 0, and demultiplexes the per-query logits back
-// to each client.
-//
-// Single-model deployment (one 2PC pair):
+// deployment over TCP: the model vendor (party 0), one client-facing
+// gateway (party 1) and the clients. The gateway accepts client queries,
+// packs everything that arrives within a batching window into one N=K
+// secure evaluation per shard pair, and demultiplexes the per-query logits
+// back to each client. It serves every -models backbone (default
+// resnet18) with -shards 2PC pairs each (default 1); a single-model
+// deployment is simply a one-model, one-shard gateway:
 //
 //	Terminal 1:  pasnet-server -party 0 -listen :9000
 //
-//	Terminal 2:  pasnet-server -party 1 -connect 127.0.0.1:9000 \
+//	Terminal 2:  pasnet-server -party gateway -connect 127.0.0.1:9000 \
 //		-client-listen :9100 -batch 8 -window 50ms -clients 2
 //
 //	Terminal 3+: pasnet-server -party client -client-connect 127.0.0.1:9100 -queries 4
 //
-// Multi-model shard gateway (one 2PC pair per (model, shard)):
+// Several models and shards (one 2PC pair per (model, shard)):
 //
 //	Terminal 1:  pasnet-server -party 0 -models resnet18,mobilenetv2 -shards 2 -listen :9000
 //
@@ -27,22 +27,21 @@
 // Both computing parties build the same (deterministically seeded) trained
 // models and per-shard dealer streams; weight shares are established once
 // per shard link and reused across every batched flush. The gateway routes
-// each client query to one of its model's shard pairs round-robin, failing
-// over to the next healthy shard when a pair dies. Running the gateway (or
-// party 1) without -client-listen instead evaluates -queries local queries
-// through the same router/batcher.
+// each client query to one of its model's shard pairs, failing over to the
+// next healthy shard when a pair dies. Running the gateway without
+// -client-listen instead evaluates -queries local queries through the same
+// router.
 //
 // The offline/online deployment split runs as a separate role:
 //
 //	pasnet-server -party preprocess -store ./stores -batches 1,2,4,8 -flushes 8
 //
-// writes both parties' correlation store files per batch geometry; with
-// -models/-shards it instead provisions one store directory per (model,
-// shard) under -store, so shard fan-out multiplies offline generation
-// only. The computing parties then add `-store ./stores` and their
-// measured online phase only replays preprocessed material. A flush whose
-// geometry was never preprocessed degrades to the live dealer on both
-// sides (counted and reported at shutdown); an exhausted or wrong-run
+// provisions one store directory per (model, shard) under -store, off that
+// shard's own dealer stream, so shard fan-out multiplies offline
+// generation only. Party 0 and the gateway then add `-store ./stores` and
+// their measured online phase only replays preprocessed material. A flush
+// whose geometry was never preprocessed degrades to the live dealer on
+// both sides (counted and reported at shutdown); an exhausted or wrong-run
 // store fails that shard with a descriptive error on both sides — and the
 // gateway reroutes its queries to the surviving shards. Note a flush's
 // geometry is the row *sum* of the packed queries — up to -batch requests
@@ -66,45 +65,40 @@ import (
 	"time"
 
 	"pasnet/internal/dataset"
-	"pasnet/internal/fixed"
 	"pasnet/internal/gateway"
 	"pasnet/internal/models"
-	"pasnet/internal/mpc"
 	"pasnet/internal/nas"
 	"pasnet/internal/obs"
-	"pasnet/internal/pi"
 	"pasnet/internal/sched"
 	"pasnet/internal/tensor"
 	"pasnet/internal/transport"
 )
 
-// config collects the command-line options of all five roles.
+// config collects the command-line options of all four roles.
 type config struct {
 	party         string
 	listen        string
 	connect       string
 	clientListen  string
 	clientConnect string
-	backbone      string
 	seed          uint64
 	batch         int
 	window        time.Duration
 	queries       int
 	clients       int
-	// store is the preprocessed-correlation directory: the preprocess role
-	// writes store files there; parties 0/1 load them at serve time. With
-	// -models it is the per-(model, shard) store root.
+	// store is the per-(model, shard) preprocessed-correlation store root:
+	// the preprocess role writes store files under it; party 0 and the
+	// gateway load them at serve time.
 	store string
 	// flushes and batches shape the preprocess role's output: how many
 	// evaluations per geometry, at which batch sizes.
 	flushes int
 	batches string
-	// models and shards select the multi-model gateway deployment: a
-	// comma-separated backbone list served with that many shard pairs each.
+	// models and shards shape the deployment: a comma-separated backbone
+	// list served with that many shard pairs each.
 	models string
 	shards int
-	// model is the client role's target model ID ("" = the single-model
-	// protocol).
+	// model is the client role's target model ID.
 	model string
 	// sched picks the gateway's shard-dispatch policy; pipeline switches
 	// its pairs to the phase-split pipelined flush schedule.
@@ -125,8 +119,8 @@ type config struct {
 	// model already has quota queries in flight (0: off).
 	queueTarget time.Duration
 	quota       int
-	// queueCap bounds pending queues: the frontend batcher sheds
-	// submissions over it; the gateway uses it as the per-lane bound.
+	// queueCap bounds each shard lane's pending queue; a submission to a
+	// full lane blocks (backpressure). Shedding is -quota's job.
 	queueCap int
 	// reprovision enables the gateway's background store re-provisioner
 	// at this remaining-correlation budget floor (0: off).
@@ -142,41 +136,40 @@ type config struct {
 	metricsAddr string
 	// fixedMasks runs the fixed weight-mask protocol on every session and
 	// store: W−b opened once per (session, layer), flushes open only the
-	// activation side. All roles of a deployment must agree.
+	// activation side. Preprocess, party 0 and the gateway must agree.
 	fixedMasks bool
 }
 
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.party, "party", "0", "role: 0 (model vendor, listens), 1 (client-facing server, connects), gateway (multi-model client-facing server), client (query submitter), preprocess (offline store writer)")
+	flag.StringVar(&cfg.party, "party", "0", "role: 0 (model vendor, listens), gateway (client-facing server, connects), client (query submitter), preprocess (offline store writer)")
 	flag.StringVar(&cfg.listen, "listen", ":9000", "party 0 listen address for the 2PC link(s)")
-	flag.StringVar(&cfg.connect, "connect", "127.0.0.1:9000", "party 1/gateway peer address for the 2PC link(s)")
-	flag.StringVar(&cfg.clientListen, "client-listen", "", "party 1/gateway address for client query submissions (empty: evaluate -queries local queries)")
-	flag.StringVar(&cfg.clientConnect, "client-connect", "127.0.0.1:9100", "client mode: the serving party's client address")
-	flag.StringVar(&cfg.backbone, "backbone", "resnet18", "single-model roles: model backbone")
+	flag.StringVar(&cfg.connect, "connect", "127.0.0.1:9000", "gateway: party 0 address for the 2PC link(s)")
+	flag.StringVar(&cfg.clientListen, "client-listen", "", "gateway: address for client query submissions (empty: evaluate -queries local queries)")
+	flag.StringVar(&cfg.clientConnect, "client-connect", "127.0.0.1:9100", "client mode: the gateway's client address")
 	flag.Uint64Var(&cfg.seed, "seed", 99, "shared deterministic seed (must match on both computing parties)")
-	flag.IntVar(&cfg.batch, "batch", 8, "serving parties: max queries packed into one secure evaluation per shard")
-	flag.DurationVar(&cfg.window, "window", 50*time.Millisecond, "serving parties: max wait before flushing a partial batch")
-	flag.IntVar(&cfg.queries, "queries", 4, "queries to submit (local mode, or client mode)")
-	flag.IntVar(&cfg.clients, "clients", 1, "serving parties: client connections to serve before shutting down")
-	flag.StringVar(&cfg.store, "store", "", "preprocessed correlation store directory (preprocess role writes it; computing parties serve from it)")
+	flag.IntVar(&cfg.batch, "batch", 8, "gateway: max queries packed into one secure evaluation per shard")
+	flag.DurationVar(&cfg.window, "window", 50*time.Millisecond, "gateway: max wait before flushing a partial batch")
+	flag.IntVar(&cfg.queries, "queries", 4, "queries to submit (gateway local mode, or client mode)")
+	flag.IntVar(&cfg.clients, "clients", 1, "gateway: client connections to serve before shutting down")
+	flag.StringVar(&cfg.store, "store", "", "per-(model, shard) preprocessed correlation store root (preprocess role writes it; party 0 and the gateway serve from it)")
 	flag.IntVar(&cfg.flushes, "flushes", 8, "preprocess: evaluations to preprocess per batch geometry (per shard)")
 	flag.StringVar(&cfg.batches, "batches", "1,2,4,8", "preprocess: comma-separated batch sizes to preprocess")
-	flag.StringVar(&cfg.models, "models", "", "gateway deployment: comma-separated backbones to serve (party 0, gateway and preprocess roles)")
-	flag.IntVar(&cfg.shards, "shards", 1, "gateway deployment: 2PC session pairs per model")
-	flag.StringVar(&cfg.model, "model", "", "client mode: model ID to query (empty: the single-model protocol)")
+	flag.StringVar(&cfg.models, "models", "resnet18", "comma-separated backbones to serve (party 0, gateway and preprocess roles)")
+	flag.IntVar(&cfg.shards, "shards", 1, "2PC session pairs per model (party 0, gateway and preprocess roles)")
+	flag.StringVar(&cfg.model, "model", "resnet18", "client mode: model ID to query")
 	flag.StringVar(&cfg.sched, "sched", "roundrobin", "gateway: shard dispatch policy, roundrobin or queue (queue depth × flush-latency estimate)")
 	flag.BoolVar(&cfg.pipeline, "pipeline", false, "gateway: pipelined flush schedule — overlap one flush's reconstruction with the next flush's input sharing per pair (bit-identical outputs)")
 	flag.BoolVar(&cfg.lifecycle, "lifecycle", false, "gateway/vendor: revive dead shard pairs (re-dial with backoff, fresh streams and stores) instead of retiring them; the vendor accepts links until interrupted")
 	flag.IntVar(&cfg.budgetWarn, "budget-warn", 0, "gateway: log a re-provision warning when a shard's remaining preprocessed budget drops below this many correlations (0: off)")
-	flag.DurationVar(&cfg.flushDeadline, "flush-deadline", 0, "serving parties: bound every in-flush receive on a 2PC pair, so a stalled peer fails that pair (triggering failover/revival) instead of wedging it forever (0: unbounded)")
+	flag.DurationVar(&cfg.flushDeadline, "flush-deadline", 0, "party 0/gateway: bound every in-flush receive on a 2PC pair, so a stalled peer fails that pair (triggering failover/revival) instead of wedging it forever (0: unbounded)")
 	flag.DurationVar(&cfg.queueTarget, "queue-target", 0, "gateway: shed a query at admission when its estimated completion exceeds this queue-time target (0: off)")
 	flag.IntVar(&cfg.quota, "quota", 0, "gateway: max in-flight admitted queries per model; submissions over the quota are shed at admission with a descriptive error (0: unbounded)")
-	flag.IntVar(&cfg.queueCap, "queue-cap", 0, "party 1: bound the batcher's pending queue, shedding submissions over it; gateway: per-shard-lane queue bound (0: unbounded / the lane default)")
+	flag.IntVar(&cfg.queueCap, "queue-cap", 0, "gateway: per-shard-lane queue bound; a submission to a full lane blocks until it drains — use -quota to shed load (0: the lane default)")
 	flag.IntVar(&cfg.reprovision, "reprovision", 0, "gateway: background store re-provisioning — build and swap in the next store generation once a shard's remaining preprocessed budget drops below this many correlations; the vendor must run -lifecycle to accept the handoff links (0: off)")
 	flag.StringVar(&cfg.statusJSON, "status-json", "", "gateway: dump the unified status document (shard table + full metrics snapshot + event tail) as JSON to this file on SIGUSR1 and at shutdown (empty: off)")
 	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "gateway: serve Prometheus text at /metrics and the unified status document at /status.json on this address (empty: off)")
-	flag.BoolVar(&cfg.fixedMasks, "fixedmasks", false, "all roles: fixed weight-mask protocol — open W−b once per session instead of per flush (preprocess, both computing parties and the gateway must agree)")
+	flag.BoolVar(&cfg.fixedMasks, "fixedmasks", false, "fixed weight-mask protocol — open W−b once per session instead of per flush (preprocess, party 0 and the gateway must agree)")
 	flag.Parse()
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "pasnet-server:", err)
@@ -272,12 +265,7 @@ func splitList(s string) []string {
 func run(cfg config) error {
 	switch cfg.party {
 	case "0":
-		if cfg.models != "" {
-			return runMultiVendor(cfg)
-		}
-		return runVendor(cfg)
-	case "1":
-		return runFrontend(cfg)
+		return runMultiVendor(cfg)
 	case "gateway":
 		return runGateway(cfg)
 	case "client":
@@ -285,16 +273,16 @@ func run(cfg config) error {
 	case "preprocess":
 		return runPreprocess(cfg)
 	default:
-		return fmt.Errorf("unknown -party %q (want 0, 1, gateway, client or preprocess)", cfg.party)
+		return fmt.Errorf("unknown -party %q (want 0, gateway, client or preprocess)", cfg.party)
 	}
 }
 
 // runPreprocess is the offline phase as its own role: it traces the
 // models' correlation demand per batch geometry and writes both parties'
-// store files into -store, each covering -flushes evaluations. With
-// -models, every (model, shard) pair gets its own store directory off its
-// own dealer stream — shard fan-out multiplies this offline work, never
-// the online path.
+// store files, each covering -flushes evaluations. Every (model, shard)
+// pair gets its own store directory under -store off its own dealer
+// stream — shard fan-out multiplies this offline work, never the online
+// path.
 func runPreprocess(cfg config) error {
 	if cfg.store == "" {
 		return fmt.Errorf("preprocess role needs -store <dir>")
@@ -307,39 +295,16 @@ func runPreprocess(cfg config) error {
 		return err
 	}
 	start := time.Now()
-	var paths []string
-	if cfg.models != "" {
-		reg, err := buildRegistry(cfg)
-		if err != nil {
-			return err
-		}
-		paths, err = gateway.WriteShardStores(reg, batches, cfg.flushes)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("preprocessed %d flushes per geometry for models %v × %d shard(s), batch sizes %v in %.1f ms:\n",
-			cfg.flushes, reg.Models(), cfg.shards, batches, time.Since(start).Seconds()*1e3)
-	} else {
-		d := buildDataset(cfg.seed)
-		m, err := buildModel(cfg.backbone, cfg.seed, d)
-		if err != nil {
-			return err
-		}
-		prog, err := pi.Compile(m.Net)
-		if err != nil {
-			return err
-		}
-		shapes := make([][]int, len(batches))
-		for i, k := range batches {
-			shapes[i] = []int{k, 3, inputHW, inputHW}
-		}
-		paths, err = pi.WriteStoresMode(prog, cfg.seed, shapes, cfg.flushes, cfg.store, cfg.fixedMasks)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("preprocessed %d flushes for batch sizes %v in %.1f ms:\n",
-			cfg.flushes, batches, time.Since(start).Seconds()*1e3)
+	reg, err := buildRegistry(cfg)
+	if err != nil {
+		return err
 	}
+	paths, err := gateway.WriteShardStores(reg, batches, cfg.flushes)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("preprocessed %d flushes per geometry for models %v × %d shard(s), batch sizes %v in %.1f ms:\n",
+		cfg.flushes, reg.Models(), cfg.shards, batches, time.Since(start).Seconds()*1e3)
 	for _, p := range paths {
 		st, err := os.Stat(p)
 		if err != nil {
@@ -366,49 +331,9 @@ func parseBatchSizes(s string) ([]int, error) {
 	return out, nil
 }
 
-// runVendor is the single-model party 0: it shares the model once, then
-// serves batched evaluations until party 1 closes the session.
-func runVendor(cfg config) error {
-	d := buildDataset(cfg.seed)
-	m, err := buildModel(cfg.backbone, cfg.seed, d)
-	if err != nil {
-		return err
-	}
-	fmt.Println("party 0 listening on", cfg.listen)
-	conn, err := transport.Listen(cfg.listen)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	p := mpc.NewParty(0, conn, cfg.seed, cfg.seed*1000+1, fixed.Default64())
-	// Batch dimension 0 = any batch size; geometry is pinned.
-	sess, err := pi.NewSessionOpts(p, m, []int{0, 3, inputHW, inputHW}, pi.SessionOptions{FixedMasks: cfg.fixedMasks})
-	if err != nil {
-		return err
-	}
-	sess.SetFlushDeadline(cfg.flushDeadline)
-	if cfg.store != "" {
-		dp := pi.NewDirProvider(cfg.store)
-		if err := dp.Preload(0); err != nil {
-			return err
-		}
-		sess.UsePreprocessed(dp)
-		fmt.Println("party 0: serving from preprocessed correlation stores in", cfg.store)
-	}
-	fmt.Println("party 0: model shared, serving batched evaluations")
-	if err := sess.Serve(); err != nil {
-		return err
-	}
-	fmt.Printf("party 0: session closed; traffic sent: %d bytes\n", conn.Stats().BytesSent)
-	if n := sess.Fallbacks(); n > 0 {
-		fmt.Printf("party 0: %d flush(es) fell back to the live dealer (geometry not preprocessed)\n", n)
-	}
-	return nil
-}
-
-// runMultiVendor is the multi-model party 0: it trains every registered
-// model, accepts one 2PC link per (model, shard), and serves each link's
-// session concurrently until the gateway closes them.
+// runMultiVendor is party 0: it trains every registered model, accepts
+// one 2PC link per (model, shard), and serves each link's session
+// concurrently until the gateway closes them.
 func runMultiVendor(cfg config) error {
 	reg, err := buildRegistry(cfg)
 	if err != nil {
@@ -452,11 +377,11 @@ func runMultiVendor(cfg config) error {
 	return nil
 }
 
-// runGateway is the multi-model party 1: it owns one persistent session
-// pair per (model, shard), batches queries per shard, and routes each
-// client query through the dispatch scheduler (round-robin or
-// queue-aware, serialized or pipelined flushes, optional lifecycle
-// revival of dead pairs).
+// runGateway is party 1, the client-facing gateway: it owns one
+// persistent session pair per (model, shard), batches queries per shard,
+// and routes each client query through the dispatch scheduler
+// (round-robin or queue-aware, serialized or pipelined flushes, optional
+// lifecycle revival of dead pairs).
 func runGateway(cfg config) error {
 	reg, err := buildRegistry(cfg)
 	if err != nil {
@@ -703,99 +628,6 @@ func runGatewayLocalQueries(cfg config, reg *gateway.Registry, rt *gateway.Route
 	wg.Wait()
 }
 
-// demoQuerySpec is the single-model protocol's query-validation spec: the
-// same geometry/row-cap/payload-size logic the gateway enforces, scoped to
-// the one demo model. Untrusted clients hit it before tensor.New can be
-// handed hostile dimensions.
-func demoQuerySpec(backbone string, rowCap int) *gateway.ModelSpec {
-	return &gateway.ModelSpec{ID: backbone, Input: []int{3, inputHW, inputHW}, RowCap: rowCap}
-}
-
-// runFrontend is the single-model party 1: it batches queries (from TCP
-// clients or a local generator) and runs each flush as one secure
-// evaluation against party 0.
-func runFrontend(cfg config) error {
-	d := buildDataset(cfg.seed)
-	m, err := buildModel(cfg.backbone, cfg.seed, d)
-	if err != nil {
-		return err
-	}
-	fmt.Println("party 1 connecting to", cfg.connect)
-	conn, err := transport.Dial(cfg.connect)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	p := mpc.NewParty(1, conn, cfg.seed, cfg.seed*1000+2, fixed.Default64())
-	sess, err := pi.NewSessionOpts(p, m, nil, pi.SessionOptions{FixedMasks: cfg.fixedMasks})
-	if err != nil {
-		return err
-	}
-	sess.SetFlushDeadline(cfg.flushDeadline)
-	if cfg.store != "" {
-		dp := pi.NewDirProvider(cfg.store)
-		if err := dp.Preload(1); err != nil {
-			return err
-		}
-		sess.UsePreprocessed(dp)
-		fmt.Println("party 1: serving from preprocessed correlation stores in", cfg.store)
-	}
-	fmt.Printf("party 1: model shared, batching up to %d queries per %v window\n", cfg.batch, cfg.window)
-	flushes := 0
-	batcher := pi.NewBatcher(cfg.batch, cfg.window, func(b *tensor.Tensor) ([]float64, error) {
-		flushes++
-		fmt.Printf("party 1: flushing batch of %d\n", b.Shape[0])
-		return sess.Query(b)
-	})
-	if cfg.queueCap > 0 {
-		batcher.SetQueueCap(cfg.queueCap)
-		fmt.Printf("party 1: shedding submissions past %d pending queries\n", cfg.queueCap)
-	}
-
-	var serveErr error
-	if cfg.clientListen == "" {
-		runLocalQueries(cfg, d, batcher)
-	} else {
-		spec := demoQuerySpec(cfg.backbone, cfg.batch)
-		serveErr = serveClients(cfg, func(c transport.Conn) error {
-			return handleClient(c, batcher, spec)
-		})
-	}
-	// Tear down in order even when client serving failed, so party 0 sees
-	// the clean end-of-session sentinel rather than a transport error.
-	batcher.Close()
-	if err := sess.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("party 1: done after %d flushes; traffic sent: %d bytes\n", flushes, conn.Stats().BytesSent)
-	if n := sess.Fallbacks(); n > 0 {
-		fmt.Printf("party 1: %d flush(es) fell back to the live dealer (geometry not preprocessed)\n", n)
-	}
-	return serveErr
-}
-
-// runLocalQueries is the in-process multi-query mode: -queries concurrent
-// submissions through the batcher, so they coalesce into shared flushes.
-func runLocalQueries(cfg config, d *dataset.Dataset, batcher *pi.Batcher) {
-	var wg sync.WaitGroup
-	for q := 0; q < cfg.queries; q++ {
-		wg.Add(1)
-		go func(q int) {
-			defer wg.Done()
-			x, _ := d.Batch([]int{queryIndex(cfg.seed, q, d.Len())})
-			start := time.Now()
-			logits, err := batcher.Submit(x)
-			if err != nil {
-				fmt.Printf("query %d: %v\n", q, err)
-				return
-			}
-			fmt.Printf("query %d: logits %.4f  (%.1f ms round trip)\n",
-				q, logits, time.Since(start).Seconds()*1e3)
-		}(q)
-	}
-	wg.Wait()
-}
-
 // serveClients accepts -clients connections and pipes each through the
 // given per-connection handler, so concurrent clients land in shared
 // flushes.
@@ -881,63 +713,17 @@ func (w *replyWriter) finish() error {
 	return <-w.writeErr
 }
 
-// handleClient reads a stream of (shape, data) query frames, enqueues each
-// on the batcher in arrival order without blocking the read loop (so one
-// client's pipelined queries share a flush, packed deterministically), and
-// writes replies back in submission order. A malformed query gets a
-// descriptive error frame without touching the batcher, so one bad client
-// query can never poison a shared flush or the 2PC session. Data frames
-// are received through the bounded path: the expected payload size is
-// computed from the already-received shape frame, so a hostile length
-// header is rejected before any allocation.
-func handleClient(tc transport.Conn, batcher *pi.Batcher, spec *gateway.ModelSpec) error {
-	defer tc.Close()
-	w := newReplyWriter(tc)
-	for {
-		shape, err := tc.RecvShape()
-		if err != nil || len(shape) == 0 {
-			if werr := w.finish(); werr != nil {
-				return werr
-			}
-			return err
-		}
-		elems, shapeErr := spec.ValidateQuery(shape)
-		// The data frame always follows the shape frame (clients pipeline);
-		// it is drained — bounded — even for a rejected shape or a payload
-		// modestly off the declared size, so the stream stays in sync and
-		// the connection survives the bad query with an error frame. Only
-		// a frame past the slack bound (a hostile header) kills the link.
-		vals, err := tc.RecvUint64sMax(drainElems(shape, spec.MaxQueryElems()))
-		if err != nil {
-			_ = w.finish()
-			return err
-		}
-		if shapeErr != nil {
-			if err := w.fail(shapeErr); err != nil {
-				return err
-			}
-			continue
-		}
-		if len(vals) != elems {
-			if err := w.fail(fmt.Errorf("query payload %d values, shape %v wants %d", len(vals), shape, elems)); err != nil {
-				return err
-			}
-			continue
-		}
-		x := tensor.New(shape...)
-		copy(x.Data, bitsToFloats(vals))
-		if err := w.enqueue(batcher.SubmitAsync(x)); err != nil {
-			return err
-		}
-	}
-}
-
-// handleGatewayClient is handleClient for the multi-model wire protocol:
-// queries arrive as (model+shape, data) frame pairs and are routed through
-// the shard router. Shape/model mismatches come back as descriptive
-// per-query error frames; the data frame is received through the bounded
-// path sized by the validated shape (or the registry-wide maximum when the
-// query was rejected, so draining cannot be abused either).
+// handleGatewayClient reads a stream of (model+shape, data) query frames,
+// routes each through the shard router in arrival order without blocking
+// the read loop (so one client's pipelined queries share a flush, packed
+// deterministically), and writes replies back in submission order.
+// Shape/model mismatches come back as descriptive per-query error frames
+// without touching the router, so one bad client query can never poison a
+// shared flush or a 2PC session. Data frames are received through the
+// bounded path: the expected payload size is computed from the
+// already-received shape frame (or the registry-wide maximum when the
+// query was rejected, so draining cannot be abused either), so a hostile
+// length header is rejected before any allocation.
 func handleGatewayClient(tc transport.Conn, rt *gateway.Router, reg *gateway.Registry) error {
 	defer tc.Close()
 	w := newReplyWriter(tc)
@@ -1029,11 +815,9 @@ func registryMaxElems(reg *gateway.Registry) int {
 	return max
 }
 
-// runClient submits -queries queries to the serving party and prints each
-// reply. All queries are pipelined before the first reply is read, so a
-// single client exercises the batching path end to end. With -model set
-// it speaks the gateway's multi-model protocol; otherwise the single-model
-// shape-frame protocol.
+// runClient submits -queries queries for -model to the gateway and prints
+// each reply. All queries are pipelined before the first reply is read,
+// so a single client exercises the batching path end to end.
 func runClient(cfg config) error {
 	d := buildDataset(cfg.seed)
 	tc, err := transport.Dial(cfg.clientConnect)
@@ -1045,12 +829,7 @@ func runClient(cfg config) error {
 	var maxReply int
 	for q := 0; q < cfg.queries; q++ {
 		x, _ := d.Batch([]int{queryIndex(cfg.seed, q, d.Len())})
-		if cfg.model != "" {
-			err = tc.SendModelShape(cfg.model, x.Shape)
-		} else {
-			err = tc.SendShape(x.Shape)
-		}
-		if err != nil {
+		if err := tc.SendModelShape(cfg.model, x.Shape); err != nil {
 			return err
 		}
 		if err := tc.SendUint64s(floatBits(x.Data)); err != nil {
@@ -1061,12 +840,7 @@ func runClient(cfg config) error {
 		}
 	}
 	// End of query stream.
-	if cfg.model != "" {
-		err = tc.SendModelShape("", nil)
-	} else {
-		err = tc.SendShape(nil)
-	}
-	if err != nil {
+	if err := tc.SendModelShape("", nil); err != nil {
 		return err
 	}
 	for q := 0; q < cfg.queries; q++ {

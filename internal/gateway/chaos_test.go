@@ -275,8 +275,16 @@ func TestBackgroundReprovisioning(t *testing.T) {
 	r := rng.New(5)
 	plain := func(x *tensor.Tensor) []float64 { return spec.Model.Net.Forward(x, false).Data }
 	// 16 queries outlast the 12-flush generation-0 store: without a
-	// handoff the pair would die at flush 13.
-	for i := 0; i < 16; i++ {
+	// handoff the pair would die at flush 13. A swap can land after any
+	// query, and a fresh generation reports Budget −1 until its first
+	// flush, so traffic continues until the snapshot shows a flush on the
+	// generation then serving (each generation swaps again only after a
+	// few flushes, so this ends within a query or two).
+	var st ShardStatus
+	for i := 0; i < 16 || st.Budget < 0; i++ {
+		if i == 64 {
+			t.Fatalf("no flush landed on the final generation after %d queries, got %+v", i, st)
+		}
 		x := tensor.New(1, 2, 8, 8).RandNorm(r, 0.5)
 		logits, err := rt.Submit("m", x)
 		if err != nil {
@@ -286,8 +294,8 @@ func TestBackgroundReprovisioning(t *testing.T) {
 			t.Fatalf("query %d diff %v", i, d)
 		}
 		time.Sleep(25 * time.Millisecond)
+		st = rt.Status()[0]
 	}
-	st := rt.Status()[0]
 	if st.Down != "" || st.Revived != 0 || st.Shed != 0 || st.Fallbacks != 0 {
 		t.Fatalf("re-provisioned fleet must never die, shed, or fall back, got %+v", st)
 	}

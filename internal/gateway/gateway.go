@@ -1,5 +1,5 @@
 // Package gateway is the multi-model shard-routing subsystem in front of
-// the pi.Session/pi.Batcher stack: it multiplexes client queries for many
+// the pi.Session stack: it multiplexes client queries for many
 // registered models (and many shards of one model) across independent 2PC
 // session pairs, so a deployment serves heterogeneous traffic concurrently
 // without touching any single pair's online latency.
@@ -7,15 +7,15 @@
 // A Registry maps model IDs to shard descriptors — the trained model, its
 // query geometry, and per shard the party-pair dealer seed, the 2PC
 // endpoint, and the shard's preprocessed correlation store directory. A
-// Router owns one persistent pi.Session plus request batcher per (model,
-// shard), routes each query round-robin across its model's healthy shards,
-// and fails a query over to the next shard when a session pair dies (a
-// store running dry, a torn connection). Each shard is provisioned its own
-// correlation store through a per-(model, shard) pi.SourceProvider
-// (WriteShardStores), so shard fan-out multiplies offline generation only
-// — the online path of every pair still just replays its own store, and
-// the per-flush source-stamp round still fails mixed provisioning loudly
-// per shard.
+// Router owns one persistent pi.Session plus a sched.Dispatcher lane per
+// (model, shard) that batches its queries into flushes, routes each query
+// across its model's healthy shards, and fails a query over to the next
+// shard when a session pair dies (a store running dry, a torn connection).
+// Each shard is provisioned its own correlation store through a
+// per-(model, shard) pi.SourceProvider (WriteShardStores), so shard
+// fan-out multiplies offline generation only — the online path of every
+// pair still just replays its own store, and the per-flush source-stamp
+// round still fails mixed provisioning loudly per shard.
 package gateway
 
 import (

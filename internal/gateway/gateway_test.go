@@ -405,7 +405,7 @@ func TestShardExhaustionFallback(t *testing.T) {
 
 // TestQueryValidationBeforeRouting pins that malformed queries are
 // rejected before touching any shard: wrong model, wrong geometry, and
-// over-cap row counts never reach a batcher.
+// over-cap row counts never reach a dispatch lane.
 func TestQueryValidationBeforeRouting(t *testing.T) {
 	reg := buildTwoModelRegistry(t, "")
 	lb := NewLoopback(reg)

@@ -207,14 +207,7 @@ func (w *WireConn) RecvModelShape() (string, []int, error) {
 func (w *WireConn) SendError(msg string) error {
 	err := w.inner.SendError(msg)
 	if err == nil {
-		// Mirror the transport's truncation so both directions agree.
-		n := len(msg)
-		if n == 0 {
-			n = len("unspecified error")
-		} else if n > 1024 {
-			n = 1024
-		}
-		w.noteSend('e', n)
+		w.noteSend('e', len(transport.TruncError(msg)))
 	}
 	return err
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strings"
 	"testing"
 
 	"pasnet/internal/transport"
@@ -55,6 +56,18 @@ func TestWireConnPerKindAccounting(t *testing.T) {
 	if _, msg, err := b.RecvReply(8); err != nil || msg != "bad query" {
 		t.Fatalf("reply %q err %v", msg, err)
 	}
+	// Empty and over-long messages: both ends count the payload the
+	// transport actually framed (the substitute, the 1024-byte prefix).
+	long := strings.Repeat("x", 2000)
+	for _, sent := range []string{"", long} {
+		if err := a.SendError(sent); err != nil {
+			t.Fatal(err)
+		}
+		want := transport.TruncError(sent)
+		if _, msg, err := b.RecvReply(8); err != nil || msg != want {
+			t.Fatalf("reply to a %d-byte error: got %d bytes, want %d (err %v)", len(sent), len(msg), len(want), err)
+		}
+	}
 	// Successful reply through the same path.
 	if err := a.SendUint64s([]uint64{7}); err != nil {
 		t.Fatal(err)
@@ -64,14 +77,14 @@ func TestWireConnPerKindAccounting(t *testing.T) {
 	}
 
 	wantBytes := map[string]int64{
-		"u32":   12,                  // 3 × 4
-		"u64":   16 + 8,              // [4 5] + the reply [7]
-		"bytes": 5,                   // "hello"
-		"shape": 16,                  // 4 dims × 4
-		"model": 1 + 8 + 8,           // len byte + "resnet18" + 2 dims × 4
-		"err":   int64(len("bad query")),
+		"u32":   12,        // 3 × 4
+		"u64":   16 + 8,    // [4 5] + the reply [7]
+		"bytes": 5,         // "hello"
+		"shape": 16,        // 4 dims × 4
+		"model": 1 + 8 + 8, // len byte + "resnet18" + 2 dims × 4
+		"err":   int64(len("bad query") + len("unspecified error") + 1024),
 	}
-	wantFrames := map[string]int64{"u32": 1, "u64": 2, "bytes": 1, "shape": 1, "model": 1, "err": 1}
+	wantFrames := map[string]int64{"u32": 1, "u64": 2, "bytes": 1, "shape": 1, "model": 1, "err": 3}
 	for kind, want := range wantBytes {
 		if got := ra.Counter("pasnet_wire_sent_bytes_total", "side", "a", "kind", kind).Load(); got != want {
 			t.Fatalf("a sent %s bytes %d, want %d", kind, got, want)

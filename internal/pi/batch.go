@@ -202,19 +202,29 @@ func CheckShape(actual, expected []int) error {
 // agreed shape; party 0 additionally learns the flush's batch size this
 // way. An empty shape from party 1 is the end-of-session sentinel, and is
 // returned as (nil, nil).
+//
+// Party 0 receives before it sends: party 1 may hang up right after the
+// sentinel, so a reply to it could only fail on a closed link.
 func negotiateShape(p *mpc.Party, mine []int) ([]int, error) {
-	theirs, err := transport.ExchangeShapes(p.Conn, mine)
-	if err != nil {
-		return nil, fmt.Errorf("pi: shape negotiation: %w", err)
-	}
 	if p.ID == 0 {
+		theirs, err := p.Conn.RecvShape()
+		if err != nil {
+			return nil, fmt.Errorf("pi: shape negotiation: recv: %w", err)
+		}
 		if len(theirs) == 0 {
 			return nil, nil
+		}
+		if err := p.Conn.SendShape(mine); err != nil {
+			return nil, fmt.Errorf("pi: shape negotiation: send: %w", err)
 		}
 		if err := CheckShape(theirs, mine); err != nil {
 			return nil, err
 		}
 		return theirs, nil
+	}
+	theirs, err := transport.ExchangeShapes(p.Conn, mine)
+	if err != nil {
+		return nil, fmt.Errorf("pi: shape negotiation: %w", err)
 	}
 	if err := CheckShape(mine, theirs); err != nil {
 		return nil, err
@@ -225,7 +235,7 @@ func negotiateShape(p *mpc.Party, mine []int) ([]int, error) {
 // Session is one party's endpoint of a persistent private-inference
 // deployment: the model is compiled and secret-shared once, then any
 // number of batched evaluations run over the same transport. It is the
-// unit cmd/pasnet-server builds its request batcher on.
+// unit a sched.Dispatcher lane batches queries onto.
 type Session struct {
 	party *mpc.Party
 	eng   *Engine
@@ -331,7 +341,7 @@ func (s *Session) UsePreprocessed(p SourceProvider) { s.provider = p }
 // budgets) yields inconsistent correlation halves and silently wrong
 // logits if allowed to run, so a stamp mismatch fails both parties
 // symmetrically before any protocol data flows. A provider that cannot
-// resolve the flush geometry (e.g. a batcher row-sum nobody preprocessed)
+// resolve the flush geometry (e.g. a flush row-sum nobody preprocessed)
 // is gentler: both parties agree via the stamp to degrade that one flush
 // to the live dealer instead of killing the deployment — sound, because
 // the parties' dealer streams advance only on flushes both run live, so
@@ -443,9 +453,10 @@ func stampString(v []int) string {
 type SessionOptions struct {
 	// FixedMasks selects the fixed weight-mask protocol: setup opens
 	// F = W−b once per layer, flushes open only the activation side, and
-	// any preprocessed stores must be written in the same mode
-	// (WriteStoresMode / the gateway's SetFixedMasks). Both parties must
-	// agree; a one-sided toggle fails loudly in setup's opening exchange.
+	// any preprocessed stores must be written in the same mode (the
+	// gateway's SetFixedMasks, or TraceTapeMode + WriteStorePair). Both
+	// parties must agree; a one-sided toggle fails loudly in setup's
+	// opening exchange.
 	FixedMasks bool
 }
 

@@ -243,9 +243,8 @@ func TestFixedMaskBytesAmortized(t *testing.T) {
 		var serveErr error
 		setupDone := make(chan struct{})
 		// flushStart/flushDone bracket each flush so the byte snapshots see
-		// both parties quiescent: party 0 must not enter the next ServeOne
-		// early (its side of the shape exchange sends eagerly) and must
-		// have finished the current one (all sends counted) when sampled.
+		// both parties quiescent: party 0 must have finished the current
+		// flush (all sends counted) when sampled.
 		flushStart := make(chan struct{})
 		flushDone := make(chan struct{})
 		wg.Add(1)

@@ -290,19 +290,12 @@ func WriteStorePair(tape corr.Tape, pairSeed uint64, shape []int, flushes int, d
 // for one geometry come off a single shared stream, so any pair of
 // processes loading them holds consistent correlation halves.
 func WriteStores(prog *Program, dealerSeed uint64, shapes [][]int, flushes int, dir string) ([]string, error) {
-	return WriteStoresMode(prog, dealerSeed, shapes, flushes, dir, false)
-}
-
-// WriteStoresMode is WriteStores with an explicit weight-mask mode: with
-// fixedMasks the stores hold the FixedB demand tapes a fixed-mask session
-// consumes (smaller per flush — no weight-side triple halves).
-func WriteStoresMode(prog *Program, dealerSeed uint64, shapes [][]int, flushes int, dir string, fixedMasks bool) ([]string, error) {
 	if flushes < 1 {
 		return nil, fmt.Errorf("pi: preprocess flushes must be >= 1, got %d", flushes)
 	}
 	var paths []string
 	for _, shape := range shapes {
-		tape, err := TraceTapeMode(prog, shape, fixedMasks)
+		tape, err := TraceTape(prog, shape)
 		if err != nil {
 			return nil, fmt.Errorf("pi: preprocess geometry %v: %w", shape, err)
 		}

@@ -1,6 +1,7 @@
 package pi
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -162,5 +163,98 @@ func TestSessionBatchedFlushes(t *testing.T) {
 	wg.Wait()
 	if serveErr != nil {
 		t.Fatalf("serve loop: %v", serveErr)
+	}
+}
+
+// hangupConn is party 0's end of a link whose peer hangs up right after
+// sending the end-of-session sentinel, as a client-facing server closing
+// its TCP socket does. Once armed, the shape receive that delivers the
+// sentinel marks the link dead, and a shape send — which first waits for
+// that receive, so the outcome does not depend on goroutine scheduling —
+// fails like a write to the closed socket.
+type hangupConn struct {
+	transport.Conn
+	armed     bool
+	delivered chan struct{}
+}
+
+func (c *hangupConn) RecvShape() ([]int, error) {
+	shape, err := c.Conn.RecvShape()
+	if c.armed && err == nil && len(shape) == 0 {
+		close(c.delivered)
+	}
+	return shape, err
+}
+
+func (c *hangupConn) SendShape(shape []int) error {
+	if c.armed {
+		<-c.delivered
+		return fmt.Errorf("write: broken pipe")
+	}
+	return c.Conn.SendShape(shape)
+}
+
+// TestServeEndsCleanlyWhenPeerHangsUp pins party 0's end of session: the
+// sentinel ends the serve loop without a reply, so a peer that closed its
+// link right after sending it cannot turn a clean shutdown into an error.
+func TestServeEndsCleanlyWhenPeerHangsUp(t *testing.T) {
+	m, inC, hw := tinyModel(24)
+	c0, c1 := transport.Pipe()
+	defer c0.Close()
+	defer c1.Close()
+	hc := &hangupConn{Conn: c0, delivered: make(chan struct{})}
+	codec := fixed.Default64()
+	p0 := mpc.NewParty(0, hc, 7, 71, codec)
+	p1 := mpc.NewParty(1, c1, 7, 72, codec)
+
+	type served struct {
+		done bool
+		err  error
+	}
+	step := make(chan struct{})
+	results := make(chan served, 2)
+	go func() {
+		sess, err := NewSession(p0, m, []int{0, inC, hw, hw})
+		if err != nil {
+			results <- served{err: err}
+			return
+		}
+		for range step {
+			_, done, err := sess.ServeOne()
+			results <- served{done, err}
+		}
+	}()
+	sess, err := NewSession(p1, m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One real flush through the unarmed link.
+	x := tensor.New(1, inC, hw, hw).RandNorm(rng.New(10), 0.5)
+	step <- struct{}{}
+	logits, err := sess.Query(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := <-results; r.err != nil || r.done {
+		t.Fatalf("flush on party 0: done=%v err=%v", r.done, r.err)
+	}
+	if d := maxAbsDiff(logits, m.Net.Forward(x, false).Data); d > 0.05 {
+		t.Fatalf("flush diff %v from plaintext", d)
+	}
+	// Party 0 is between flushes; the peer now sends the sentinel and
+	// hangs up.
+	hc.armed = true
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	step <- struct{}{}
+	close(step)
+	select {
+	case r := <-results:
+		if r.err != nil || !r.done {
+			t.Fatalf("sentinel must end party 0's session cleanly, got done=%v err=%v", r.done, r.err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("party 0 hung on the sentinel")
 	}
 }

@@ -466,13 +466,13 @@ func (d *Dispatcher) Submit(model string, x *tensor.Tensor) ([]float64, error) {
 	return d.SubmitAsync(model, x)()
 }
 
-// SubmitAsync routes one query and returns a wait function (mirroring
-// pi.Batcher.SubmitAsync), so connection readers can enqueue a pipelined
-// stream without blocking. A submission to a full lane queue blocks
-// inside SubmitAsync — backpressure, not loss. When the flush carrying
-// the query fails, the lane is marked down and the query transparently
-// retries on the model's remaining healthy lanes; only when every lane is
-// down (or the retry budget is spent) does the wait return an error.
+// SubmitAsync routes one query and returns a wait function, so connection
+// readers can enqueue a pipelined stream without blocking. A submission
+// to a full lane queue blocks inside SubmitAsync — backpressure, not
+// loss. When the flush carrying the query fails, the lane is marked down
+// and the query transparently retries on the model's remaining healthy
+// lanes; only when every lane is down (or the retry budget is spent) does
+// the wait return an error.
 func (d *Dispatcher) SubmitAsync(model string, x *tensor.Tensor) func() ([]float64, error) {
 	rows := int64(1)
 	if len(x.Shape) == 4 {
@@ -537,6 +537,9 @@ func (d *Dispatcher) enqueue(w *worker, it *item) error {
 
 // tryEnqueue is enqueue's non-blocking variant for internal failover
 // re-dispatches (see failover): ok=false means the lane's queue is full.
+// Like enqueue it counts before the send, so no reply can beat the count;
+// the routed-queries counter never goes back down, so a re-dispatch
+// rejected at a full queue still counts as routed here.
 func (d *Dispatcher) tryEnqueue(w *worker, it *item) (ok bool, err error) {
 	d.mu.RLock()
 	if d.closed {
@@ -546,13 +549,15 @@ func (d *Dispatcher) tryEnqueue(w *worker, it *item) (ok bool, err error) {
 	d.sends.Add(1)
 	d.mu.RUnlock()
 	defer d.sends.Done()
+	w.queries.Add(1)
+	w.queuedQueries.Add(1)
+	w.queuedRows.Add(it.rows)
 	select {
 	case w.queue <- it:
-		w.queries.Add(1)
-		w.queuedQueries.Add(1)
-		w.queuedRows.Add(it.rows)
 		return true, nil
 	default:
+		w.queuedQueries.Add(-1)
+		w.queuedRows.Add(-it.rows)
 		return false, nil
 	}
 }

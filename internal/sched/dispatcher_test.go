@@ -13,9 +13,10 @@ import (
 )
 
 // fakeSession is a controllable FlushSession: it "evaluates" a flush by
-// sleeping perRow per batch row and returns one logit per row, fails
-// flushes on command, and records what it served. It lets the dispatcher
-// and lifecycle be tested without standing up 2PC pairs.
+// sleeping perRow per batch row and returns one logit per row — the row's
+// first element, so tests can check each submitter gets its own rows —
+// fails flushes on command, and records what it served. It lets the
+// dispatcher and lifecycle be tested without standing up 2PC pairs.
 type fakeSession struct {
 	perRow time.Duration
 	// failAfter: fail every flush once this many have succeeded (-1:
@@ -26,6 +27,11 @@ type fakeSession struct {
 	rows    atomic.Int64
 	killed  atomic.Bool
 	closed  atomic.Bool
+
+	mu sync.Mutex
+	// batches holds every BeginFlush call's row tags (each row's first
+	// element) in call order, failed calls included.
+	batches [][]float64
 }
 
 func newFakeSession(perRow time.Duration, failAfter int32) *fakeSession {
@@ -33,20 +39,30 @@ func newFakeSession(perRow time.Duration, failAfter int32) *fakeSession {
 }
 
 func (f *fakeSession) BeginFlush(batch *tensor.Tensor) (func() ([]float64, error), error) {
+	rows := batch.Shape[0]
+	tags := make([]float64, rows)
+	for i := range tags {
+		tags[i] = batch.Data[i*batch.Len()/rows]
+	}
+	f.mu.Lock()
+	f.batches = append(f.batches, tags)
+	f.mu.Unlock()
 	if f.failAfter >= 0 && f.flushes.Load() >= f.failAfter {
 		return nil, fmt.Errorf("fake pair died (flush %d)", f.flushes.Load())
 	}
-	rows := int64(batch.Shape[0])
 	if f.perRow > 0 {
 		time.Sleep(time.Duration(rows) * f.perRow)
 	}
 	f.flushes.Add(1)
-	f.rows.Add(rows)
-	logits := make([]float64, rows)
-	for i := range logits {
-		logits[i] = float64(i)
-	}
-	return func() ([]float64, error) { return logits, nil }, nil
+	f.rows.Add(int64(rows))
+	return func() ([]float64, error) { return tags, nil }, nil
+}
+
+// recorded returns the row tags of every BeginFlush call so far.
+func (f *fakeSession) recorded() [][]float64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([][]float64(nil), f.batches...)
 }
 
 func (f *fakeSession) RemainingBudget() int { return 42 }
@@ -55,6 +71,13 @@ func (f *fakeSession) Close() error         { f.closed.Store(true); return nil }
 func (f *fakeSession) Kill()                { f.killed.Store(true) }
 
 func query(rows int) *tensor.Tensor { return tensor.New(rows, 1, 2, 2) }
+
+// tagged is a one-row query whose first element is tag.
+func tagged(tag float64) *tensor.Tensor {
+	x := query(1)
+	x.Data[0] = tag
+	return x
+}
 
 // addLanes registers n fake lanes for one model and returns them.
 func addLanes(t *testing.T, d *Dispatcher, model string, sessions ...FlushSession) {
@@ -162,36 +185,159 @@ func TestQueueAwareSteersByLatency(t *testing.T) {
 	}
 }
 
-// TestBatchGathering pins work-conserving batching: queries queued while
-// a flush runs are gathered into the next flush up to Options.Batch.
+// TestBatchGathering pins batching on one lane. Work-conserving (no
+// window): queries queued while a flush runs are gathered into the next
+// flush, up to Options.Batch. With a window: stragglers arriving within
+// it join the started batch, and a partial batch still flushes once the
+// window runs out. Either way queries pack in SubmitAsync order and each
+// wait gets its own query's logits back.
 func TestBatchGathering(t *testing.T) {
-	d := NewDispatcher(Options{Batch: 4, Policy: RoundRobin})
-	s := newFakeSession(5*time.Millisecond, -1)
+	cases := []struct {
+		name    string
+		window  time.Duration
+		queries int
+		gap     time.Duration // pause between submissions
+		// minFlushes..maxFlushes bounds the flush count.
+		minFlushes, maxFlushes int32
+	}{
+		{"work-conserving", 0, 9, 0, 3, 9},
+		{"window", 300 * time.Millisecond, 3, 5 * time.Millisecond, 1, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			const batch = 4
+			d := NewDispatcher(Options{Batch: batch, Window: c.window, Policy: RoundRobin})
+			s := newFakeSession(5*time.Millisecond, -1)
+			addLanes(t, d, "m", s)
+			var waits []func() ([]float64, error)
+			for q := 0; q < c.queries; q++ {
+				if q > 0 {
+					time.Sleep(c.gap)
+				}
+				waits = append(waits, d.SubmitAsync("m", tagged(float64(100+q))))
+			}
+			for q, wait := range waits {
+				logits, err := wait()
+				if err != nil {
+					t.Fatalf("query %d: %v", q, err)
+				}
+				if len(logits) != 1 || logits[0] != float64(100+q) {
+					t.Fatalf("query %d got logits %v, want its own row [%d]", q, logits, 100+q)
+				}
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if f := s.flushes.Load(); f < c.minFlushes || f > c.maxFlushes {
+				t.Fatalf("%d queries at Batch=%d ran %d flushes, want %d..%d", c.queries, batch, f, c.minFlushes, c.maxFlushes)
+			}
+			if s.rows.Load() != int64(c.queries) {
+				t.Fatalf("served %d rows, want %d", s.rows.Load(), c.queries)
+			}
+			next := 100.0
+			for _, tags := range s.recorded() {
+				if len(tags) > batch {
+					t.Fatalf("flush of %d rows exceeds Batch=%d", len(tags), batch)
+				}
+				for _, tag := range tags {
+					if tag != next {
+						t.Fatalf("flushes packed %v, want submission order", s.recorded())
+					}
+					next++
+				}
+			}
+		})
+	}
+}
+
+// TestBatchCountCapAndDemux pins count-capped batching under concurrent
+// blocking submitters: with no window, no flush carries more than
+// Options.Batch rows, every row is served exactly once, and each
+// submitter gets its own query's logits back.
+func TestBatchCountCapAndDemux(t *testing.T) {
+	const batch, k = 3, 9
+	d := NewDispatcher(Options{Batch: batch, Policy: RoundRobin})
+	s := newFakeSession(2*time.Millisecond, -1)
 	addLanes(t, d, "m", s)
-	var waits []func() ([]float64, error)
-	for q := 0; q < 9; q++ {
-		waits = append(waits, d.SubmitAsync("m", query(1)))
+	var wg sync.WaitGroup
+	errCh := make(chan error, k)
+	for q := 0; q < k; q++ {
+		wg.Add(1)
+		go func(q int) {
+			defer wg.Done()
+			logits, err := d.Submit("m", tagged(float64(100+q)))
+			if err != nil {
+				errCh <- fmt.Errorf("query %d: %w", q, err)
+				return
+			}
+			if len(logits) != 1 || logits[0] != float64(100+q) {
+				errCh <- fmt.Errorf("query %d got logits %v, want its own row [%d]", q, logits, 100+q)
+			}
+		}(q)
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[float64]bool{}
+	for _, tags := range s.recorded() {
+		if len(tags) > batch {
+			t.Fatalf("flush of %d rows exceeds Batch=%d: %v", len(tags), batch, s.recorded())
+		}
+		for _, tag := range tags {
+			if seen[tag] {
+				t.Fatalf("row %v served twice: %v", tag, s.recorded())
+			}
+			seen[tag] = true
+		}
+	}
+	if len(seen) != k || s.rows.Load() != k {
+		t.Fatalf("served %d distinct of %d rows, want %d", len(seen), s.rows.Load(), k)
+	}
+}
+
+// TestSubmitAsyncPreservesOrder pins packing order: a full batch of
+// SubmitAsync queries is packed in submission order, and each wait
+// returns its own query's logits.
+func TestSubmitAsyncPreservesOrder(t *testing.T) {
+	const batch = 4
+	d := NewDispatcher(Options{Batch: batch, Policy: RoundRobin})
+	s := newFakeSession(time.Millisecond, -1)
+	addLanes(t, d, "m", s)
+	waits := make([]func() ([]float64, error), batch)
+	for q := range waits {
+		waits[q] = d.SubmitAsync("m", tagged(float64(10+q)))
 	}
 	for q, wait := range waits {
-		if _, err := wait(); err != nil {
-			t.Fatalf("query %d: %v", q, err)
+		logits, err := wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(logits) != 1 || logits[0] != float64(10+q) {
+			t.Fatalf("wait %d got %v, want [%d]", q, logits, 10+q)
 		}
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if f := s.flushes.Load(); f < 3 || f > 9 {
-		t.Fatalf("9 queries at Batch=4 ran %d flushes, want between 3 and 9", f)
-	}
-	if s.rows.Load() != 9 {
-		t.Fatalf("served %d rows, want 9", s.rows.Load())
+	next := 10.0
+	for _, tags := range s.recorded() {
+		for _, tag := range tags {
+			if tag != next {
+				t.Fatalf("flushes packed %v, want submission order", s.recorded())
+			}
+			next++
+		}
 	}
 }
 
 // TestFailoverToHealthyLane pins transparent failover: a lane that dies
 // mid-deployment loses no queries — they re-dispatch to the surviving
-// lane, the dead lane reports its terminal error, and with every lane
-// down, submissions fail descriptively.
+// lane, and the dead lane reports its terminal error.
 func TestFailoverToHealthyLane(t *testing.T) {
 	d := NewDispatcher(Options{Batch: 1, Policy: RoundRobin})
 	dying, healthy := newFakeSession(0, 1), newFakeSession(0, -1)
@@ -218,17 +364,31 @@ func TestFailoverToHealthyLane(t *testing.T) {
 	if downs != 1 || up != 1 {
 		t.Fatalf("want exactly one down and one healthy lane, got %d/%d", downs, up)
 	}
-
-	solo := NewDispatcher(Options{Batch: 1})
-	addLanes(t, solo, "m", newFakeSession(0, 0))
-	_, err := solo.Submit("m", query(1))
-	if err == nil || !strings.Contains(err.Error(), "all 1 shard(s)") {
-		t.Fatalf("all-down must fail descriptively, got: %v", err)
-	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := solo.Close(); err != nil {
+}
+
+// TestFlushErrorFansOut pins the all-lanes-down path: a lone lane's
+// failed flush reaches every co-batched submitter with a descriptive
+// error. The window gathers three queries into the one flush that dies.
+func TestFlushErrorFansOut(t *testing.T) {
+	d := NewDispatcher(Options{Batch: 4, Window: 300 * time.Millisecond})
+	dead := newFakeSession(0, 0)
+	addLanes(t, d, "m", dead)
+	var waits []func() ([]float64, error)
+	for q := 0; q < 3; q++ {
+		waits = append(waits, d.SubmitAsync("m", tagged(float64(q))))
+	}
+	for q, wait := range waits {
+		if _, err := wait(); err == nil || !strings.Contains(err.Error(), "all 1 shard(s)") {
+			t.Fatalf("co-batched query %d: all-down must fail descriptively, got: %v", q, err)
+		}
+	}
+	if got := dead.recorded(); len(got) != 1 || len(got[0]) != 3 {
+		t.Fatalf("the three queries must share the one failed flush, got flushes %v", got)
+	}
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

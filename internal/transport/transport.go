@@ -207,10 +207,11 @@ func decodeModelShape(payload []byte) (string, []int, error) {
 	return model, shape, nil
 }
 
-// truncError clamps an error message to the frame bound. An empty message
-// is substituted so RecvReply callers can always distinguish an error frame
-// (non-empty errMsg) from an empty data frame.
-func truncError(msg string) string {
+// TruncError is the error frame's payload for msg: the message clamped to
+// the frame bound. An empty message is substituted so RecvReply callers
+// can always distinguish an error frame (non-empty errMsg) from an empty
+// data frame. Every SendError implementation sends exactly this payload.
+func TruncError(msg string) string {
 	if msg == "" {
 		return "unspecified error"
 	}
@@ -508,7 +509,7 @@ func (m *MemConn) RecvModelShape() (string, []int, error) {
 
 // SendError implements Conn.
 func (m *MemConn) SendError(errMsg string) error {
-	payload := []byte(truncError(errMsg))
+	payload := []byte(TruncError(errMsg))
 	return m.sendMsg(message{kind: 'e', raw: payload}, len(payload))
 }
 
@@ -562,20 +563,6 @@ func Dial(addr string) (*TCPConn, error) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
-	}
-	return NewTCPConn(nc), nil
-}
-
-// Listen accepts a single peer connection on addr.
-func Listen(addr string) (*TCPConn, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
-	}
-	defer l.Close()
-	nc, err := l.Accept()
-	if err != nil {
-		return nil, fmt.Errorf("transport: accept: %w", err)
 	}
 	return NewTCPConn(nc), nil
 }
@@ -777,7 +764,7 @@ func (t *TCPConn) RecvModelShape() (string, []int, error) {
 
 // SendError implements Conn.
 func (t *TCPConn) SendError(errMsg string) error {
-	return t.writeFrame('e', []byte(truncError(errMsg)))
+	return t.writeFrame('e', []byte(TruncError(errMsg)))
 }
 
 // RecvReply implements Conn.
