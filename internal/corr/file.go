@@ -35,9 +35,9 @@ import (
 // allocation, so a hostile file cannot demand a pathological allocation.
 //
 // Version history: "PASCORR1" lacked the fixed weight-mask kinds
-// (KindMatMulFixedB / KindConvFixedB) and their mask-slot dim;
+// (mpc.KindMatMulFixedB / mpc.KindConvFixedB) and their mask-slot dim;
 // "PASCORR2" stored bit triples one byte per bit and had no random-OT
-// kind (KindOT). The magic is the version gate — any "PASCORR"-prefixed
+// kind (mpc.KindOT). The magic is the version gate — any "PASCORR"-prefixed
 // file of another version is rejected with a regeneration hint rather
 // than misparsed, in either direction (old binary × new store, new
 // binary × old store).
@@ -54,21 +54,21 @@ const storeMagicPrefix = "PASCORR"
 func (s *Store) Encode() []byte {
 	size := len(storeMagic) + 1 + 4 + 4 + 4
 	for i := range s.entries {
-		la, lb, lz := s.tape[i].lens()
+		la, lb, lz := s.tape[i].Lens()
 		switch s.tape[i].Kind {
-		case KindBits:
+		case mpc.KindBits:
 			size += 1 + 4 + 3*mpc.PackedLen(la)
-		case KindOT:
+		case mpc.KindOT:
 			size += 1 + 4 + otPayloadLen(s.party, s.tape[i].N)
-		case KindSquare:
+		case mpc.KindSquare:
 			size += 1 + 4 + 8*(la+lz)
-		case KindMatMul:
+		case mpc.KindMatMul:
 			size += 1 + 12 + 8*(la+lb+lz)
-		case KindMatMulFixedB:
+		case mpc.KindMatMulFixedB:
 			size += 1 + 16 + 8*(la+lz)
-		case KindConv:
+		case mpc.KindConv:
 			size += 1 + 40 + 8*(la+lb+lz)
-		case KindConvFixedB:
+		case mpc.KindConvFixedB:
 			size += 1 + 44 + 8*(la+lz)
 		default: // hadamard
 			size += 1 + 4 + 8*(la+lb+lz)
@@ -84,17 +84,17 @@ func (s *Store) Encode() []byte {
 		e := &s.entries[i]
 		buf = append(buf, byte(d.Kind))
 		switch d.Kind {
-		case KindMatMul:
+		case mpc.KindMatMul:
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(d.M))
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(d.K))
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(d.P))
-		case KindMatMulFixedB:
+		case mpc.KindMatMulFixedB:
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(d.Mask))
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(d.M))
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(d.K))
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(d.P))
-		case KindConv, KindConvFixedB:
-			if d.Kind == KindConvFixedB {
+		case mpc.KindConv, mpc.KindConvFixedB:
+			if d.Kind == mpc.KindConvFixedB {
 				buf = binary.LittleEndian.AppendUint32(buf, uint32(d.Mask))
 			}
 			c := d.Conv
@@ -105,18 +105,18 @@ func (s *Store) Encode() []byte {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(d.N))
 		}
 		switch d.Kind {
-		case KindBits:
-			buf = append(buf, mpc.PackBits(e.ba)...)
-			buf = append(buf, mpc.PackBits(e.bb)...)
-			buf = append(buf, mpc.PackBits(e.bc)...)
+		case mpc.KindBits:
+			buf = append(buf, mpc.PackBits(e.BA)...)
+			buf = append(buf, mpc.PackBits(e.BB)...)
+			buf = append(buf, mpc.PackBits(e.BC)...)
 			continue
-		case KindOT:
-			buf = appendOT(buf, s.party, e.ot)
+		case mpc.KindOT:
+			buf = appendOT(buf, s.party, e.OT)
 			continue
 		}
-		buf = appendWords(buf, e.a)
-		buf = appendWords(buf, e.b) // empty for square pairs
-		buf = appendWords(buf, e.z)
+		buf = appendWords(buf, e.A)
+		buf = appendWords(buf, e.B) // empty for square pairs and fixed-mask kinds
+		buf = appendWords(buf, e.Z)
 	}
 	crc := crc32.ChecksumIEEE(buf[len(storeMagic):])
 	return binary.LittleEndian.AppendUint32(buf, crc)
@@ -164,17 +164,17 @@ func Decode(data []byte) (*Store, error) {
 	if growCap > 4096 {
 		growCap = 4096
 	}
-	s := &Store{party: party, label: label, tape: make(Tape, 0, growCap), entries: make([]entry, 0, growCap)}
+	s := &Store{party: party, label: label, tape: make(Tape, 0, growCap), entries: make([]mpc.Correlation, 0, growCap)}
 	for i := 0; i < count; i++ {
-		d := Demand{Kind: Kind(r.u8())}
+		d := mpc.Demand{Kind: mpc.Kind(r.u8())}
 		switch d.Kind {
-		case KindMatMul:
+		case mpc.KindMatMul:
 			d.M, d.K, d.P = int(r.u32()), int(r.u32()), int(r.u32())
-		case KindMatMulFixedB:
+		case mpc.KindMatMulFixedB:
 			d.Mask = int(r.u32())
 			d.M, d.K, d.P = int(r.u32()), int(r.u32()), int(r.u32())
-		case KindConv, KindConvFixedB:
-			if d.Kind == KindConvFixedB {
+		case mpc.KindConv, mpc.KindConvFixedB:
+			if d.Kind == mpc.KindConvFixedB {
 				d.Mask = int(r.u32())
 			}
 			c := &d.Conv
@@ -187,22 +187,22 @@ func Decode(data []byte) (*Store, error) {
 		if r.err != nil {
 			return nil, fmt.Errorf("corr: store file truncated in entry %d header: %w", i, r.err)
 		}
-		if err := d.validate(); err != nil {
+		if err := d.Validate(); err != nil {
 			return nil, fmt.Errorf("corr: store file entry %d: %w", i, err)
 		}
-		la, lb, lz := d.lens()
-		var e entry
+		la, lb, lz := d.Lens()
+		var e mpc.Correlation
 		switch d.Kind {
-		case KindBits:
-			e.ba = r.packedBits(la)
-			e.bb = r.packedBits(la)
-			e.bc = r.packedBits(la)
-		case KindOT:
-			e.ot = r.ot(party, d.N)
+		case mpc.KindBits:
+			e.BA = r.packedBits(la)
+			e.BB = r.packedBits(la)
+			e.BC = r.packedBits(la)
+		case mpc.KindOT:
+			e.OT = r.ot(party, d.N)
 		default:
-			e.a = r.words(la)
-			e.b = r.words(lb)
-			e.z = r.words(lz)
+			e.A = r.words(la)
+			e.B = r.words(lb)
+			e.Z = r.words(lz)
 		}
 		if r.err != nil {
 			return nil, fmt.Errorf("corr: store file truncated in entry %d (%s) payload: %w", i, d, r.err)

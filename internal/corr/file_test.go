@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"pasnet/internal/mpc"
 )
 
 // TestStoreFileRoundTrip writes a store to disk, reads it back, and
@@ -110,7 +112,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	t.Run("hostile-geometry", func(t *testing.T) {
 		// Re-checksum a body whose first entry declares an absurd element
 		// count: the size cap must reject it before any allocation.
-		huge, err := BuildSeeded(Tape{{Kind: KindHadamard, N: 4}}, 0, 1)
+		huge, err := BuildSeeded(Tape{{Kind: mpc.KindHadamard, N: 4}}, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,78 +24,13 @@ var fixedConvDims = mpc.ConvDims{N: 1, InC: 2, H: 5, W: 5, OutC: 3, KH: 3, KW: 3
 // the ordinary kinds draw fresh material.
 func fixedTestTape() Tape {
 	flush := Tape{
-		{Kind: KindConvFixedB, Mask: 0, Conv: fixedConvDims},
-		{Kind: KindBits, N: 64},
-		{Kind: KindMatMulFixedB, Mask: 1, M: 2, K: 12, P: 4},
-		{Kind: KindHadamard, N: 9},
-		{Kind: KindSquare, N: 5},
+		{Kind: mpc.KindConvFixedB, Mask: 0, Conv: fixedConvDims},
+		{Kind: mpc.KindBits, N: 64},
+		{Kind: mpc.KindMatMulFixedB, Mask: 1, M: 2, K: 12, P: 4},
+		{Kind: mpc.KindHadamard, N: 9},
+		{Kind: mpc.KindSquare, N: 5},
 	}
 	return flush.Repeat(2)
-}
-
-// drainFixedAgainstDealer is drainAgainstDealer extended with the fixed
-// kinds: every store take must be byte-identical to the live dealer on the
-// same seed consuming the same demand sequence.
-func drainFixedAgainstDealer(t *testing.T, s *Store, seed uint64, tape Tape) {
-	t.Helper()
-	d := mpc.NewDealer(seed, s.Party())
-	for i, dem := range tape {
-		switch dem.Kind {
-		case KindMatMulFixedB:
-			wa, wz, err := d.TakeMatMulFixedB(dem.Mask, dem.M, dem.K, dem.P)
-			if err != nil {
-				t.Fatalf("entry %d dealer: %v", i, err)
-			}
-			ga, gz, err := s.TakeMatMulFixedB(dem.Mask, dem.M, dem.K, dem.P)
-			if err != nil {
-				t.Fatalf("entry %d: %v", i, err)
-			}
-			eqWords(t, "matmul-fixedb a", ga, wa)
-			eqWords(t, "matmul-fixedb z", gz, wz)
-		case KindConvFixedB:
-			wa, wz, err := d.TakeConvFixedB(dem.Mask, dem.Conv)
-			if err != nil {
-				t.Fatalf("entry %d dealer: %v", i, err)
-			}
-			ga, gz, err := s.TakeConvFixedB(dem.Mask, dem.Conv)
-			if err != nil {
-				t.Fatalf("entry %d: %v", i, err)
-			}
-			eqWords(t, "conv-fixedb a", ga, wa)
-			eqWords(t, "conv-fixedb z", gz, wz)
-		case KindHadamard:
-			wa, wb, wz := d.HadamardTriple(dem.N)
-			ga, gb, gz, err := s.TakeHadamard(dem.N)
-			if err != nil {
-				t.Fatalf("entry %d: %v", i, err)
-			}
-			eqWords(t, "hadamard a", ga, wa)
-			eqWords(t, "hadamard b", gb, wb)
-			eqWords(t, "hadamard z", gz, wz)
-		case KindSquare:
-			wa, wz := d.SquarePair(dem.N)
-			ga, gz, err := s.TakeSquare(dem.N)
-			if err != nil {
-				t.Fatalf("entry %d: %v", i, err)
-			}
-			eqWords(t, "square a", ga, wa)
-			eqWords(t, "square z", gz, wz)
-		case KindBits:
-			wa, wb, wc := d.BitTriples(dem.N)
-			ga, gb, gc, err := s.TakeBits(dem.N)
-			if err != nil {
-				t.Fatalf("entry %d: %v", i, err)
-			}
-			eqBits(t, "bits a", ga, wa)
-			eqBits(t, "bits b", gb, wb)
-			eqBits(t, "bits c", gc, wc)
-		default:
-			t.Fatalf("entry %d: unhandled kind %s", i, dem.Kind)
-		}
-	}
-	if s.Remaining() != 0 {
-		t.Fatalf("store has %d correlations left after draining the tape", s.Remaining())
-	}
 }
 
 // TestStoreFixedBMatchesLiveDealerStream pins byte-identical replay for
@@ -107,7 +42,7 @@ func TestStoreFixedBMatchesLiveDealerStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		drainFixedAgainstDealer(t, s, 4242, tape)
+		drainAgainstDealer(t, s, 4242, tape)
 	}
 }
 
@@ -130,42 +65,47 @@ func TestFixedBProductAgainstDerivedMask(t *testing.T) {
 		}
 		return out
 	}
+	// b as the pair's live dealers hold it: the sum of their halves.
+	fixedB := func(mask, n int) []uint64 {
+		var halves [2][]uint64
+		for party := range halves {
+			h, err := mpc.NewDealer(dealerSeed, party).FixedMaskHalf(mask, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			halves[party] = h
+		}
+		return recon(halves[0], halves[1])
+	}
 	var flushA [][]uint64
 	for f := 0; f < 2; f++ {
 		for _, dem := range tape[:len(tape)/2] {
+			c0, err := s0.Take(dem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c1, err := s1.Take(dem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, z := recon(c0.A, c1.A), recon(c0.Z, c1.Z)
 			switch dem.Kind {
-			case KindMatMulFixedB:
-				a0, z0, err := s0.TakeMatMulFixedB(dem.Mask, dem.M, dem.K, dem.P)
-				if err != nil {
-					t.Fatal(err)
-				}
-				a1, z1, err := s1.TakeMatMulFixedB(dem.Mask, dem.M, dem.K, dem.P)
-				if err != nil {
-					t.Fatal(err)
-				}
-				a, z := recon(a0, a1), recon(z0, z1)
-				b := mpc.FixedMaskPlain(dealerSeed, dem.Mask, dem.K*dem.P)
+			case mpc.KindMatMulFixedB:
+				b := fixedB(dem.Mask, dem.K*dem.P)
 				want := make([]uint64, dem.M*dem.P)
 				kernel.MatMul(want, a, b, dem.M, dem.K, dem.P)
 				eqWords(t, "fixedb matmul z=a@b", z, want)
 				flushA = append(flushA, a)
-			case KindConvFixedB:
-				a0, z0, err := s0.TakeConvFixedB(dem.Mask, dem.Conv)
-				if err != nil {
-					t.Fatal(err)
-				}
-				a1, z1, err := s1.TakeConvFixedB(dem.Mask, dem.Conv)
-				if err != nil {
-					t.Fatal(err)
-				}
-				a, z := recon(a0, a1), recon(z0, z1)
-				b := mpc.FixedMaskPlain(dealerSeed, dem.Mask, dem.Conv.KLen())
-				want := make([]uint64, dem.Conv.OutLen())
-				kernel.Conv2D(want, a, b, convShape(dem.Conv))
+			case mpc.KindConvFixedB:
+				c := dem.Conv
+				b := fixedB(dem.Mask, c.KLen())
+				want := make([]uint64, c.OutLen())
+				kernel.Conv2D(want, a, b, kernel.ConvShape{
+					N: c.N, InC: c.InC, H: c.H, W: c.W, OutC: c.OutC, KH: c.KH, KW: c.KW,
+					Stride: c.Stride, Pad: c.Pad, Groups: c.Groups,
+				})
 				eqWords(t, "fixedb conv z=conv(a,b)", z, want)
 				flushA = append(flushA, a)
-			default:
-				skipDemand(t, s0, s1, dem)
 			}
 		}
 	}
@@ -186,27 +126,6 @@ func TestFixedBProductAgainstDerivedMask(t *testing.T) {
 	}
 }
 
-// skipDemand consumes one non-fixed demand from both stores.
-func skipDemand(t *testing.T, s0, s1 *Store, dem Demand) {
-	t.Helper()
-	for _, s := range []*Store{s0, s1} {
-		var err error
-		switch dem.Kind {
-		case KindHadamard:
-			_, _, _, err = s.TakeHadamard(dem.N)
-		case KindSquare:
-			_, _, err = s.TakeSquare(dem.N)
-		case KindBits:
-			_, _, _, err = s.TakeBits(dem.N)
-		default:
-			t.Fatalf("skipDemand: unhandled kind %s", dem.Kind)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestFixedBFileRoundTrip pins the serialized form of the new kinds:
 // write → read → replay must be lossless, including the mask slot dims.
 func TestFixedBFileRoundTrip(t *testing.T) {
@@ -222,7 +141,7 @@ func TestFixedBFileRoundTrip(t *testing.T) {
 	if !loaded.Tape().Equal(tape) {
 		t.Fatal("fixed-kind tape not preserved through encode/decode")
 	}
-	drainFixedAgainstDealer(t, loaded, 555, tape)
+	drainAgainstDealer(t, loaded, 555, tape)
 }
 
 // TestStoreVersionGate is the corruption-matrix satellite's
@@ -272,7 +191,7 @@ func TestStoreVersionGate(t *testing.T) {
 // kind in the error, not a misparse. The CRC is resealed so the test
 // reaches the structural validator.
 func TestDecodeRejectsUnknownKind(t *testing.T) {
-	s, err := BuildSeeded(Tape{{Kind: KindHadamard, N: 4}}, 0, 9)
+	s, err := BuildSeeded(Tape{{Kind: mpc.KindHadamard, N: 4}}, 0, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,14 +209,14 @@ func TestDecodeRejectsUnknownKind(t *testing.T) {
 // valid checksum.
 func TestFixedBMaskValidation(t *testing.T) {
 	t.Run("plain-kind-with-mask", func(t *testing.T) {
-		_, err := BuildSeeded(Tape{{Kind: KindHadamard, N: 4, Mask: 2}}, 0, 1)
+		_, err := BuildSeeded(Tape{{Kind: mpc.KindHadamard, N: 4, Mask: 2}}, 0, 1)
 		if err == nil || !strings.Contains(err.Error(), "carries fixed mask slot") {
 			t.Fatalf("plain kind with a mask slot must fail, got: %v", err)
 		}
 	})
 	t.Run("slot-out-of-range", func(t *testing.T) {
 		for _, mask := range []int{-1, mpc.MaxFixedMask + 1} {
-			_, err := BuildSeeded(Tape{{Kind: KindMatMulFixedB, Mask: mask, M: 1, K: 2, P: 2}}, 0, 1)
+			_, err := BuildSeeded(Tape{{Kind: mpc.KindMatMulFixedB, Mask: mask, M: 1, K: 2, P: 2}}, 0, 1)
 			if err == nil || !strings.Contains(err.Error(), "out of range") {
 				t.Fatalf("mask %d must fail, got: %v", mask, err)
 			}
@@ -307,8 +226,8 @@ func TestFixedBMaskValidation(t *testing.T) {
 		// One slot masking two different weight lengths is a protocol bug:
 		// the generator must refuse, like the live dealer does.
 		tape := Tape{
-			{Kind: KindMatMulFixedB, Mask: 3, M: 1, K: 2, P: 2},
-			{Kind: KindMatMulFixedB, Mask: 3, M: 1, K: 2, P: 3},
+			{Kind: mpc.KindMatMulFixedB, Mask: 3, M: 1, K: 2, P: 2},
+			{Kind: mpc.KindMatMulFixedB, Mask: 3, M: 1, K: 2, P: 3},
 		}
 		_, err := BuildSeeded(tape, 1, 1)
 		if err == nil || !strings.Contains(err.Error(), "pinned to length") {
@@ -316,7 +235,7 @@ func TestFixedBMaskValidation(t *testing.T) {
 		}
 	})
 	t.Run("decoded-slot-out-of-range", func(t *testing.T) {
-		s, err := BuildSeeded(Tape{{Kind: KindMatMulFixedB, Mask: 1, M: 1, K: 2, P: 2}}, 0, 2)
+		s, err := BuildSeeded(Tape{{Kind: mpc.KindMatMulFixedB, Mask: 1, M: 1, K: 2, P: 2}}, 0, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,11 +248,11 @@ func TestFixedBMaskValidation(t *testing.T) {
 		}
 	})
 	t.Run("take-mask-mismatch", func(t *testing.T) {
-		s, err := BuildSeeded(Tape{{Kind: KindMatMulFixedB, Mask: 1, M: 1, K: 2, P: 2}}, 0, 2)
+		s, err := BuildSeeded(Tape{{Kind: mpc.KindMatMulFixedB, Mask: 1, M: 1, K: 2, P: 2}}, 0, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, err = s.TakeMatMulFixedB(2, 1, 2, 2)
+		_, err = s.Take(mpc.Demand{Kind: mpc.KindMatMulFixedB, Mask: 2, M: 1, K: 2, P: 2})
 		if err == nil || !strings.Contains(err.Error(), "mask=1") || !strings.Contains(err.Error(), "mask=2") {
 			t.Fatalf("mask-slot mismatch must name both slots, got: %v", err)
 		}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"pasnet/internal/mpc"
 	"pasnet/internal/rng"
 )
 
@@ -16,18 +17,19 @@ import (
 // receiver's m_c must be the sender's message at the receiver's choice c.
 func TestOTHalvesAreValidOTs(t *testing.T) {
 	const n = 257
-	s0, s1, err := BuildPair(Tape{{Kind: KindOT, N: n}}, rng.New(41), 41)
+	s0, s1, err := BuildPair(Tape{{Kind: mpc.KindOT, N: n}}, rng.New(41), 41)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snd, err := s0.TakeOT(n)
+	c0, err := s0.Take(mpc.Demand{Kind: mpc.KindOT, N: n})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcv, err := s1.TakeOT(n)
+	c1, err := s1.Take(mpc.Demand{Kind: mpc.KindOT, N: n})
 	if err != nil {
 		t.Fatal(err)
 	}
+	snd, rcv := c0.OT, c1.OT
 	var seen [4]int
 	for i := range snd {
 		c := rcv[i] & 3
@@ -50,7 +52,7 @@ func TestOTHalvesAreValidOTs(t *testing.T) {
 // parties and pins the packed payload sizes: party 0's OT half is a byte
 // per instance, party 1's a nibble, and bit triples 8 bits per byte.
 func TestOTFileRoundTripPacked(t *testing.T) {
-	tape := Tape{{Kind: KindOT, N: 33}, {Kind: KindBits, N: 13}}
+	tape := Tape{{Kind: mpc.KindOT, N: 33}, {Kind: mpc.KindBits, N: 13}}
 	header := len(storeMagic) + 1 + 4 + 4
 	for party, otBytes := range []int{33, 17} {
 		s, err := BuildSeeded(tape, party, 808)
@@ -83,7 +85,7 @@ func TestOTDecodeRejectsHostile(t *testing.T) {
 		reseal(enc)
 	}
 	for party := 0; party < 2; party++ {
-		s, err := BuildSeeded(Tape{{Kind: KindOT, N: 33}}, party, 5)
+		s, err := BuildSeeded(Tape{{Kind: mpc.KindOT, N: 33}}, party, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +110,7 @@ func TestOTDecodeRejectsHostile(t *testing.T) {
 // entry (bits or receiver OT) and reseals: the decoder must report the
 // truncated entry rather than misread the checksum as payload.
 func TestPackedPayloadTruncation(t *testing.T) {
-	for _, dem := range []Demand{{Kind: KindBits, N: 13}, {Kind: KindOT, N: 33}} {
+	for _, dem := range []mpc.Demand{{Kind: mpc.KindBits, N: 13}, {Kind: mpc.KindOT, N: 33}} {
 		s, err := BuildSeeded(Tape{dem}, 1, 6)
 		if err != nil {
 			t.Fatal(err)

@@ -10,21 +10,6 @@ import (
 	"pasnet/internal/rng"
 )
 
-// maxEntryWords caps a single demand's element count. It bounds both the
-// generator and — more importantly — the decoder, so a corrupt or hostile
-// store file can never request a pathological allocation.
-const maxEntryWords = 1 << 28
-
-// entry is one preprocessed correlation: this party's halves.
-type entry struct {
-	// a, b, z are the ring halves (b is nil for square pairs).
-	a, b, z []uint64
-	// ba, bb, bc are the XOR halves of a bit-triple batch.
-	ba, bb, bc mpc.BitShare
-	// ot holds one byte per random OT: this party's mpc.OTHalf.
-	ot []byte
-}
-
 // Store is a preprocessed correlation tape: one party's halves of every
 // correlation a program evaluation will consume, in demand order. The
 // online phase consumes it through the mpc.CorrelationSource interface;
@@ -39,7 +24,7 @@ type Store struct {
 	party   int
 	label   uint32
 	tape    Tape
-	entries []entry
+	entries []mpc.Correlation
 	cursor  int
 }
 
@@ -65,141 +50,13 @@ func (s *Store) Remaining() int { return len(s.entries) - s.cursor }
 // Tape returns the demand tape the store was generated for.
 func (s *Store) Tape() Tape { return s.tape }
 
-// lens returns the flat element counts (a, b, z) of the demand's
-// correlation material. b is 0 for square pairs; OT batches report 0s
-// (their material is one byte per instance in entry.ot).
-func (d Demand) lens() (la, lb, lz int) {
-	switch d.Kind {
-	case KindHadamard, KindBits:
-		return d.N, d.N, d.N
-	case KindSquare:
-		return d.N, 0, d.N
-	case KindMatMul:
-		return d.M * d.K, d.K * d.P, d.M * d.P
-	case KindMatMulFixedB:
-		return d.M * d.K, 0, d.M * d.P
-	case KindConv:
-		return d.Conv.InLen(), d.Conv.KLen(), d.Conv.OutLen()
-	case KindConvFixedB:
-		return d.Conv.InLen(), 0, d.Conv.OutLen()
-	default:
-		return 0, 0, 0
-	}
-}
-
-// fixedMaskLen returns the plain fixed-mask length of a FixedB demand
-// (the weight-side element count b never stored in the entry).
-func (d Demand) fixedMaskLen() int {
-	switch d.Kind {
-	case KindMatMulFixedB:
-		return d.K * d.P
-	case KindConvFixedB:
-		return d.Conv.KLen()
-	default:
-		return 0
-	}
-}
-
-// validate rejects malformed demands before any allocation happens, on
-// both the generation and the decode path.
-func (d Demand) validate() error {
-	switch d.Kind {
-	case KindHadamard, KindSquare, KindBits, KindOT:
-		// A zero-length demand never occurs in practice (every share in
-		// the engine has positive size), and requiring real payload per
-		// entry lets the decoder bound its entry-table allocation by the
-		// file's actual size.
-		if d.N < 1 || d.N > maxEntryWords {
-			return fmt.Errorf("element count %d out of range", d.N)
-		}
-	case KindMatMul, KindMatMulFixedB:
-		if d.M < 1 || d.K < 1 || d.P < 1 ||
-			d.M > maxEntryWords/d.K || d.K > maxEntryWords/d.P || d.M > maxEntryWords/d.P {
-			return fmt.Errorf("matmul dims %dx%dx%d out of range", d.M, d.K, d.P)
-		}
-	case KindConv, KindConvFixedB:
-		c := d.Conv
-		if c.N < 1 || c.InC < 1 || c.H < 1 || c.W < 1 || c.OutC < 1 ||
-			c.KH < 1 || c.KW < 1 || c.Stride < 1 || c.Pad < 0 || c.Groups < 0 {
-			return fmt.Errorf("conv geometry %s malformed", d)
-		}
-		// Every field is individually capped before any product is formed:
-		// lens() multiplies four of them, and a hostile file with fields
-		// near 2^31 would otherwise overflow the products right past the
-		// `> maxEntryWords` checks (negative lengths panic makeslice).
-		for _, v := range []int{c.N, c.InC, c.H, c.W, c.OutC, c.KH, c.KW, c.Stride, c.Pad, c.Groups} {
-			if v > maxEntryWords {
-				return fmt.Errorf("conv geometry %s: dimension %d exceeds cap", d, v)
-			}
-		}
-		g := kernel.NormGroups(c.Groups)
-		if c.InC%g != 0 || c.OutC%g != 0 {
-			return fmt.Errorf("conv geometry %s: groups %d do not divide channels", d, g)
-		}
-		oh, ow := c.OutHW()
-		if oh < 1 || ow < 1 {
-			return fmt.Errorf("conv geometry %s yields empty output", d)
-		}
-		if !mulFits(c.N, c.InC, c.H, c.W) ||
-			!mulFits(c.OutC, c.InC/g, c.KH, c.KW) ||
-			!mulFits(c.N, c.OutC, oh, ow) {
-			return fmt.Errorf("conv geometry %s exceeds size cap", d)
-		}
-	default:
-		return fmt.Errorf("unknown correlation kind %d", uint8(d.Kind))
-	}
-	return d.validateMask()
-}
-
-// validateMask bounds the fixed-mask slot of FixedB demands and insists
-// the non-fixed kinds carry none (a nonzero Mask on a plain triple means
-// a miswritten or corrupted tape).
-func (d Demand) validateMask() error {
-	switch d.Kind {
-	case KindMatMulFixedB, KindConvFixedB:
-		if d.Mask < 0 || d.Mask > mpc.MaxFixedMask {
-			return fmt.Errorf("fixed mask slot %d out of range [0, %d]", d.Mask, mpc.MaxFixedMask)
-		}
-	default:
-		if d.Mask != 0 {
-			return fmt.Errorf("%s demand carries fixed mask slot %d", d.Kind, d.Mask)
-		}
-	}
-	return nil
-}
-
-// mulFits reports whether the product of the (non-negative) factors stays
-// within maxEntryWords, checking overflow at every step.
-func mulFits(vs ...int) bool {
-	p := 1
-	for _, v := range vs {
-		if v == 0 {
-			return true
-		}
-		if p > maxEntryWords/v {
-			return false
-		}
-		p *= v
-	}
-	return true
-}
-
-// deferredZ is one heavy triple product postponed to the parallel pass:
-// everything needed to compute party 1's z half off the sequential
-// randomness stream.
-type deferredZ struct {
-	idx            int
-	plainA, plainB []uint64 // plainB aliases plainA for square pairs
-	maskZ          []uint64
-}
-
-// Build generates one party's store for the tape, drawing randomness from
-// r in exactly the order a live mpc.Dealer consuming the same demand
-// sequence would — so the stream advances identically for either party,
-// and the resulting correlations are byte-identical to the live dealer's.
-// The heavy triple products (ring convolutions, matrix multiplies) run in
-// a parallel second pass sized from the kernel worker pool; only party 1's
-// halves need them, so party 0's build is almost pure RNG.
+// Build generates one party's store for the tape with the same generator
+// a live mpc.Dealer runs, drawing from r — so the stream advances
+// identically for either party, and the resulting correlations are
+// byte-identical to the live dealer's. The heavy triple products (ring
+// convolutions, matrix multiplies) run in a parallel second pass sized
+// from the kernel worker pool; only party 1's halves need them, so party
+// 0's build is almost pure RNG.
 //
 // maskSeed is the *pair's* dealer seed, which may differ from r's stream:
 // fixed weight masks (the FixedB kinds) are derived out-of-band from the
@@ -236,156 +93,51 @@ func BuildPair(tape Tape, r *rng.RNG, maskSeed uint64) (p0, p1 *Store, err error
 	return build(tape, r, maskSeed, true, true)
 }
 
-// build is the shared generator. The sequential pass replays the dealer's
-// draw order per demand — plain values first, then the additive masks —
-// and materializes every half that is cheap (party 0's halves are masks;
-// party 1's a/b halves are one subtraction). Party 1's z halves need the
-// actual triple product, which is deferred and computed in parallel.
+// build runs the shared generator (mpc.Generator) over the tape. The
+// sequential pass draws every demand's randomness in the dealer's order
+// and keeps party 0's halves, which are only masks; party 1's halves need
+// the triple products, so they are derived from the kept draws in a
+// parallel second pass.
 func build(tape Tape, r *rng.RNG, maskSeed uint64, want0, want1 bool) (*Store, *Store, error) {
 	var s0, s1 *Store
 	if want0 {
-		s0 = &Store{party: 0, tape: append(Tape(nil), tape...), entries: make([]entry, len(tape))}
+		s0 = &Store{party: 0, tape: append(Tape(nil), tape...), entries: make([]mpc.Correlation, len(tape))}
 	}
+	var draws []*mpc.Draw
 	if want1 {
-		s1 = &Store{party: 1, tape: append(Tape(nil), tape...), entries: make([]entry, len(tape))}
+		s1 = &Store{party: 1, tape: append(Tape(nil), tape...), entries: make([]mpc.Correlation, len(tape))}
+		draws = make([]*mpc.Draw, len(tape))
 	}
-	// fixedPlains caches the derived plain b per mask slot, pinned to the
-	// length it was first derived at (mirroring the Dealer's slot cache).
-	var fixedPlains map[int][]uint64
-	var defs []deferredZ
+	gen := mpc.NewGenerator(r, maskSeed)
 	for i, d := range tape {
-		if err := d.validate(); err != nil {
+		if err := d.Validate(); err != nil {
 			return nil, nil, fmt.Errorf("corr: tape entry %d: %w", i, err)
 		}
-		la, lb, lz := d.lens()
-		switch d.Kind {
-		case KindOT:
-			// Dealer order: one word per instance (mpc.Dealer.RandomOTs).
-			var ot0, ot1 []byte
-			if want0 {
-				ot0 = make([]byte, d.N)
-				s0.entries[i].ot = ot0
-			}
-			if want1 {
-				ot1 = make([]byte, d.N)
-				s1.entries[i].ot = ot1
-			}
-			for j := 0; j < d.N; j++ {
-				w := r.Uint64()
-				if want0 {
-					ot0[j] = mpc.OTHalf(w, 0)
-				}
-				if want1 {
-					ot1[j] = mpc.OTHalf(w, 1)
-				}
-			}
-		case KindBits:
-			// Dealer order: (a, b) bit pairs interleaved, then the three
-			// XOR masks. c = a AND b is cheap enough to fold in here.
-			plainA := make([]byte, la)
-			plainB := make([]byte, la)
-			for j := 0; j < la; j++ {
-				plainA[j] = byte(r.Uint64()) & 1
-				plainB[j] = byte(r.Uint64()) & 1
-			}
-			maskA := drawBits(r, la)
-			maskB := drawBits(r, la)
-			maskC := drawBits(r, la)
-			if want0 {
-				e := &s0.entries[i]
-				e.ba, e.bb, e.bc = maskA, maskB, maskC
-			}
-			if want1 {
-				e := &s1.entries[i]
-				e.ba = xorBits(plainA, maskA)
-				e.bb = xorBits(plainB, maskB)
-				c := make(mpc.BitShare, la)
-				for j := range c {
-					c[j] = (plainA[j] & plainB[j]) ^ maskC[j]
-				}
-				e.bc = c
-			}
-		case KindSquare:
-			plainA := drawWords(r, la)
-			maskA := drawWords(r, la)
-			maskZ := drawWords(r, lz)
-			if want0 {
-				e := &s0.entries[i]
-				e.a, e.z = maskA, maskZ
-			}
-			if want1 {
-				e := &s1.entries[i]
-				e.a = subWords(plainA, maskA)
-				defs = append(defs, deferredZ{idx: i, plainA: plainA, plainB: plainA, maskZ: maskZ})
-			}
-		case KindMatMulFixedB, KindConvFixedB:
-			// Dealer order: fill(a), pick(a), pick(z). b never touches the
-			// main stream — it is derived from (maskSeed, slot, length), the
-			// same function the live dealer and Party.OpenFixedW use, so a
-			// store-fed flush multiplies against exactly the b behind the
-			// session's opened F = W−b.
-			lbFix := d.fixedMaskLen()
-			plainB, ok := fixedPlains[d.Mask]
-			if !ok {
-				plainB = mpc.FixedMaskPlain(maskSeed, d.Mask, lbFix)
-				if fixedPlains == nil {
-					fixedPlains = make(map[int][]uint64)
-				}
-				fixedPlains[d.Mask] = plainB
-			} else if len(plainB) != lbFix {
-				return nil, nil, fmt.Errorf("corr: tape entry %d: fixed mask slot %d pinned to length %d, demand %s needs %d (one slot, one session-constant tensor)",
-					i, d.Mask, len(plainB), d, lbFix)
-			}
-			plainA := drawWords(r, la)
-			maskA := drawWords(r, la)
-			maskZ := drawWords(r, lz)
-			if want0 {
-				e := &s0.entries[i]
-				e.a, e.z = maskA, maskZ
-			}
-			if want1 {
-				e := &s1.entries[i]
-				e.a = subWords(plainA, maskA)
-				defs = append(defs, deferredZ{idx: i, plainA: plainA, plainB: plainB, maskZ: maskZ})
-			}
-		default: // hadamard, matmul, conv: full (a, b, z) triples
-			plainA := drawWords(r, la)
-			plainB := drawWords(r, lb)
-			maskA := drawWords(r, la)
-			maskB := drawWords(r, lb)
-			maskZ := drawWords(r, lz)
-			if want0 {
-				e := &s0.entries[i]
-				e.a, e.b, e.z = maskA, maskB, maskZ
-			}
-			if want1 {
-				e := &s1.entries[i]
-				e.a = subWords(plainA, maskA)
-				e.b = subWords(plainB, maskB)
-				defs = append(defs, deferredZ{idx: i, plainA: plainA, plainB: plainB, maskZ: maskZ})
-			}
+		dr, err := gen.Next(d)
+		if err != nil {
+			return nil, nil, fmt.Errorf("corr: tape entry %d: %w", i, err)
+		}
+		if want0 {
+			s0.entries[i] = dr.Half(0)
+		}
+		if want1 {
+			draws[i] = dr
 		}
 	}
-	if len(defs) > 0 {
-		computeDeferred(tape, s1, defs)
+	if want1 {
+		splitParty1(s1, draws)
 	}
 	return s0, s1, nil
 }
 
-// computeDeferred runs the heavy z-half products across worker goroutines
-// sized from the kernel pool's parallelism degree. The per-product kernels
-// are themselves chunked on the shared pool, and their accumulation order
+// splitParty1 derives party 1's halves across worker goroutines sized
+// from the kernel pool's parallelism degree. The per-product kernels are
+// themselves chunked on the shared pool, and their accumulation order
 // never depends on worker count, so store material is bit-identical for
 // any kernel.SetWorkers / SetNaive configuration — the invariant that lets
 // a store recorded under one setting replay under another.
-func computeDeferred(tape Tape, s1 *Store, defs []deferredZ) {
-	workers := kernel.Workers()
-	if workers > len(defs) {
-		workers = len(defs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+func splitParty1(s1 *Store, draws []*mpc.Draw) {
+	workers := max(1, min(kernel.Workers(), len(draws)))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -394,154 +146,32 @@ func computeDeferred(tape Tape, s1 *Store, defs []deferredZ) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(defs) {
+				if i >= len(draws) {
 					return
 				}
-				df := defs[i]
-				d := tape[df.idx]
-				_, _, lz := d.lens()
-				z := make([]uint64, lz)
-				switch d.Kind {
-				case KindHadamard, KindSquare:
-					kernel.Mul(z, df.plainA, df.plainB)
-				case KindMatMul, KindMatMulFixedB:
-					kernel.MatMul(z, df.plainA, df.plainB, d.M, d.K, d.P)
-				case KindConv, KindConvFixedB:
-					kernel.Conv2D(z, df.plainA, df.plainB, convShape(d.Conv))
-				}
-				kernel.Sub(z, z, df.maskZ) // party 1's half: plainZ − maskZ
-				s1.entries[df.idx].z = z
+				s1.entries[i] = draws[i].Half(1)
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// convShape maps the mpc geometry onto the kernel package's conv shape.
-func convShape(d mpc.ConvDims) kernel.ConvShape {
-	return kernel.ConvShape{
-		N: d.N, InC: d.InC, H: d.H, W: d.W,
-		OutC: d.OutC, KH: d.KH, KW: d.KW,
-		Stride: d.Stride, Pad: d.Pad, Groups: d.Groups,
-	}
-}
-
-func drawWords(r *rng.RNG, n int) []uint64 {
-	out := make([]uint64, n)
-	r.FillUint64(out)
-	return out
-}
-
-func drawBits(r *rng.RNG, n int) mpc.BitShare {
-	out := make(mpc.BitShare, n)
-	for i := range out {
-		out[i] = byte(r.Uint64()) & 1
-	}
-	return out
-}
-
-func subWords(a, b []uint64) []uint64 {
-	out := make([]uint64, len(a))
-	kernel.Sub(out, a, b)
-	return out
-}
-
-func xorBits(a, b mpc.BitShare) mpc.BitShare {
-	out := make(mpc.BitShare, len(a))
-	for i := range out {
-		out[i] = a[i] ^ b[i]
-	}
-	return out
-}
-
-// next validates and consumes the cursor's entry against the online
-// phase's actual request. The error text names the correlation kind and
+// Take implements mpc.CorrelationSource: it validates and consumes the
+// cursor's entry against the online phase's actual request. The error text names the correlation kind and
 // the recorded vs requested geometry so a misprovisioned deployment is
 // diagnosable from either party's log alone.
-func (s *Store) next(want Demand) (*entry, error) {
+func (s *Store) Take(want mpc.Demand) (mpc.Correlation, error) {
 	if s.cursor >= len(s.entries) {
-		return nil, fmt.Errorf(
+		return mpc.Correlation{}, fmt.Errorf(
 			"corr: store exhausted: online phase requested %s as correlation #%d, but the preprocessed store holds only %d correlations (preprocess more flushes or fall back to the live dealer)",
 			want, s.cursor+1, len(s.entries))
 	}
 	if got := s.tape[s.cursor]; got != want {
-		return nil, fmt.Errorf(
+		return mpc.Correlation{}, fmt.Errorf(
 			"corr: store geometry mismatch at correlation #%d: store recorded %s, online phase requested %s (was the store preprocessed for a different batch geometry?)",
 			s.cursor+1, got, want)
 	}
-	e := &s.entries[s.cursor]
+	c := s.entries[s.cursor]
 	s.cursor++
-	return e, nil
-}
-
-// TakeHadamard implements mpc.CorrelationSource.
-func (s *Store) TakeHadamard(n int) (a, b, z []uint64, err error) {
-	e, err := s.next(Demand{Kind: KindHadamard, N: n})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return e.a, e.b, e.z, nil
-}
-
-// TakeSquare implements mpc.CorrelationSource.
-func (s *Store) TakeSquare(n int) (a, z []uint64, err error) {
-	e, err := s.next(Demand{Kind: KindSquare, N: n})
-	if err != nil {
-		return nil, nil, err
-	}
-	return e.a, e.z, nil
-}
-
-// TakeMatMul implements mpc.CorrelationSource.
-func (s *Store) TakeMatMul(m, k, p int) (a, b, z []uint64, err error) {
-	e, err := s.next(Demand{Kind: KindMatMul, M: m, K: k, P: p})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return e.a, e.b, e.z, nil
-}
-
-// TakeConv implements mpc.CorrelationSource.
-func (s *Store) TakeConv(dims mpc.ConvDims) (a, b, z []uint64, err error) {
-	e, err := s.next(Demand{Kind: KindConv, Conv: dims})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return e.a, e.b, e.z, nil
-}
-
-// TakeMatMulFixedB implements mpc.CorrelationSource.
-func (s *Store) TakeMatMulFixedB(mask, m, k, p int) (a, z []uint64, err error) {
-	e, err := s.next(Demand{Kind: KindMatMulFixedB, Mask: mask, M: m, K: k, P: p})
-	if err != nil {
-		return nil, nil, err
-	}
-	return e.a, e.z, nil
-}
-
-// TakeConvFixedB implements mpc.CorrelationSource.
-func (s *Store) TakeConvFixedB(mask int, dims mpc.ConvDims) (a, z []uint64, err error) {
-	e, err := s.next(Demand{Kind: KindConvFixedB, Mask: mask, Conv: dims})
-	if err != nil {
-		return nil, nil, err
-	}
-	return e.a, e.z, nil
-}
-
-// TakeBits implements mpc.CorrelationSource.
-func (s *Store) TakeBits(n int) (ta, tb, tc mpc.BitShare, err error) {
-	e, err := s.next(Demand{Kind: KindBits, N: n})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return e.ba, e.bb, e.bc, nil
-}
-
-// TakeOT implements mpc.CorrelationSource.
-func (s *Store) TakeOT(n int) ([]byte, error) {
-	e, err := s.next(Demand{Kind: KindOT, N: n})
-	if err != nil {
-		return nil, err
-	}
-	return e.ot, nil
+	return c, nil
 }

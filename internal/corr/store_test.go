@@ -1,6 +1,7 @@
 package corr
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -14,15 +15,15 @@ import (
 // sizes leave padding in the packed on-disk layout.
 func testTape() Tape {
 	return Tape{
-		{Kind: KindConv, Conv: mpc.ConvDims{N: 2, InC: 3, H: 6, W: 6, OutC: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}},
-		{Kind: KindBits, N: 192},
-		{Kind: KindHadamard, N: 96},
-		{Kind: KindSquare, N: 50},
-		{Kind: KindMatMul, M: 4, K: 9, P: 5},
-		{Kind: KindConv, Conv: mpc.ConvDims{N: 1, InC: 4, H: 5, W: 5, OutC: 4, KH: 3, KW: 3, Stride: 1, Pad: 1, Groups: 4}},
-		{Kind: KindHadamard, N: 7},
-		{Kind: KindOT, N: 33},
-		{Kind: KindBits, N: 13},
+		{Kind: mpc.KindConv, Conv: mpc.ConvDims{N: 2, InC: 3, H: 6, W: 6, OutC: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}},
+		{Kind: mpc.KindBits, N: 192},
+		{Kind: mpc.KindHadamard, N: 96},
+		{Kind: mpc.KindSquare, N: 50},
+		{Kind: mpc.KindMatMul, M: 4, K: 9, P: 5},
+		{Kind: mpc.KindConv, Conv: mpc.ConvDims{N: 1, InC: 4, H: 5, W: 5, OutC: 4, KH: 3, KW: 3, Stride: 1, Pad: 1, Groups: 4}},
+		{Kind: mpc.KindHadamard, N: 7},
+		{Kind: mpc.KindOT, N: 33},
+		{Kind: mpc.KindBits, N: 13},
 	}
 }
 
@@ -50,6 +51,18 @@ func eqBits(t *testing.T, name string, got, want mpc.BitShare) {
 	}
 }
 
+// eqCorr compares every field of two correlations.
+func eqCorr(t *testing.T, where string, got, want mpc.Correlation) {
+	t.Helper()
+	eqWords(t, where+" a", got.A, want.A)
+	eqWords(t, where+" b", got.B, want.B)
+	eqWords(t, where+" z", got.Z, want.Z)
+	eqBits(t, where+" ba", got.BA, want.BA)
+	eqBits(t, where+" bb", got.BB, want.BB)
+	eqBits(t, where+" bc", got.BC, want.BC)
+	eqBits(t, where+" ot", got.OT, want.OT)
+}
+
 // drainAgainstDealer consumes the store in tape order and compares every
 // correlation byte-for-byte against a live dealer on the same seed — the
 // stream-replication invariant that makes store-fed online phases
@@ -58,59 +71,15 @@ func drainAgainstDealer(t *testing.T, s *Store, seed uint64, tape Tape) {
 	t.Helper()
 	d := mpc.NewDealer(seed, s.Party())
 	for i, dem := range tape {
-		switch dem.Kind {
-		case KindHadamard:
-			wa, wb, wz := d.HadamardTriple(dem.N)
-			ga, gb, gz, err := s.TakeHadamard(dem.N)
-			if err != nil {
-				t.Fatalf("entry %d: %v", i, err)
-			}
-			eqWords(t, "hadamard a", ga, wa)
-			eqWords(t, "hadamard b", gb, wb)
-			eqWords(t, "hadamard z", gz, wz)
-		case KindSquare:
-			wa, wz := d.SquarePair(dem.N)
-			ga, gz, err := s.TakeSquare(dem.N)
-			if err != nil {
-				t.Fatalf("entry %d: %v", i, err)
-			}
-			eqWords(t, "square a", ga, wa)
-			eqWords(t, "square z", gz, wz)
-		case KindMatMul:
-			wa, wb, wz := d.MatMulTriple(dem.M, dem.K, dem.P)
-			ga, gb, gz, err := s.TakeMatMul(dem.M, dem.K, dem.P)
-			if err != nil {
-				t.Fatalf("entry %d: %v", i, err)
-			}
-			eqWords(t, "matmul a", ga, wa)
-			eqWords(t, "matmul b", gb, wb)
-			eqWords(t, "matmul z", gz, wz)
-		case KindConv:
-			wa, wb, wz := d.ConvTriple(dem.Conv)
-			ga, gb, gz, err := s.TakeConv(dem.Conv)
-			if err != nil {
-				t.Fatalf("entry %d: %v", i, err)
-			}
-			eqWords(t, "conv a", ga, wa)
-			eqWords(t, "conv b", gb, wb)
-			eqWords(t, "conv z", gz, wz)
-		case KindBits:
-			wa, wb, wc := d.BitTriples(dem.N)
-			ga, gb, gc, err := s.TakeBits(dem.N)
-			if err != nil {
-				t.Fatalf("entry %d: %v", i, err)
-			}
-			eqBits(t, "bits a", ga, wa)
-			eqBits(t, "bits b", gb, wb)
-			eqBits(t, "bits c", gc, wc)
-		case KindOT:
-			want := d.RandomOTs(dem.N)
-			got, err := s.TakeOT(dem.N)
-			if err != nil {
-				t.Fatalf("entry %d: %v", i, err)
-			}
-			eqBits(t, "ot", got, want)
+		want, err := d.Take(dem)
+		if err != nil {
+			t.Fatalf("entry %d dealer: %v", i, err)
 		}
+		got, err := s.Take(dem)
+		if err != nil {
+			t.Fatalf("entry %d: %v", i, err)
+		}
+		eqCorr(t, fmt.Sprintf("entry %d %s", i, dem), got, want)
 	}
 	if s.Remaining() != 0 {
 		t.Fatalf("store has %d correlations left after draining the tape", s.Remaining())
@@ -169,13 +138,7 @@ func TestBuildDeterministicAcrossKernelSettings(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range ref.entries {
-			eqWords(t, "a", s.entries[i].a, ref.entries[i].a)
-			eqWords(t, "b", s.entries[i].b, ref.entries[i].b)
-			eqWords(t, "z", s.entries[i].z, ref.entries[i].z)
-			eqBits(t, "ba", s.entries[i].ba, ref.entries[i].ba)
-			eqBits(t, "bb", s.entries[i].bb, ref.entries[i].bb)
-			eqBits(t, "bc", s.entries[i].bc, ref.entries[i].bc)
-			eqBits(t, "ot", s.entries[i].ot, ref.entries[i].ot)
+			eqCorr(t, fmt.Sprintf("entry %d", i), s.entries[i], ref.entries[i])
 		}
 	}
 }
@@ -184,29 +147,29 @@ func TestBuildDeterministicAcrossKernelSettings(t *testing.T) {
 // contract: exhaustion and geometry mismatches name the correlation kind
 // and the recorded vs requested shape.
 func TestStoreExhaustionAndMismatchErrors(t *testing.T) {
-	tape := Tape{{Kind: KindHadamard, N: 8}}
+	tape := Tape{{Kind: mpc.KindHadamard, N: 8}}
 	s, err := BuildSeeded(tape, 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Wrong kind at the cursor.
-	if _, _, err := s.TakeSquare(8); err == nil {
+	if _, err := s.Take(mpc.Demand{Kind: mpc.KindSquare, N: 8}); err == nil {
 		t.Fatal("kind mismatch must error")
 	} else if !strings.Contains(err.Error(), "hadamard(n=8)") || !strings.Contains(err.Error(), "square(n=8)") {
 		t.Fatalf("mismatch error must name both demands, got: %v", err)
 	}
 	// Wrong geometry for the right kind.
-	if _, _, _, err := s.TakeHadamard(9); err == nil {
+	if _, err := s.Take(mpc.Demand{Kind: mpc.KindHadamard, N: 9}); err == nil {
 		t.Fatal("geometry mismatch must error")
 	} else if !strings.Contains(err.Error(), "hadamard(n=9)") {
 		t.Fatalf("mismatch error must name the requested shape, got: %v", err)
 	}
 	// A failed take must not advance the cursor.
-	if _, _, _, err := s.TakeHadamard(8); err != nil {
+	if _, err := s.Take(tape[0]); err != nil {
 		t.Fatalf("matching take after mismatch: %v", err)
 	}
 	// Exhaustion.
-	if _, _, _, err := s.TakeHadamard(8); err == nil {
+	if _, err := s.Take(tape[0]); err == nil {
 		t.Fatal("exhausted store must error")
 	} else if !strings.Contains(err.Error(), "exhausted") || !strings.Contains(err.Error(), "hadamard(n=8)") {
 		t.Fatalf("exhaustion error must name the demand, got: %v", err)
@@ -226,8 +189,8 @@ func TestValidateRejectsOverflowingConv(t *testing.T) {
 		{N: 1 << 20, InC: 1 << 20, H: 1 << 20, W: 1 << 20, OutC: 1, KH: 1, KW: 1, Stride: 1 << 20},
 	}
 	for i, c := range cases {
-		d := Demand{Kind: KindConv, Conv: c}
-		if err := d.validate(); err == nil {
+		d := mpc.Demand{Kind: mpc.KindConv, Conv: c}
+		if err := d.Validate(); err == nil {
 			t.Fatalf("case %d: hostile conv geometry must not validate", i)
 		}
 		if _, err := BuildSeeded(Tape{d}, 0, 1); err == nil {
@@ -241,28 +204,22 @@ func TestValidateRejectsOverflowingConv(t *testing.T) {
 func TestRecorderTape(t *testing.T) {
 	rec := NewRecorder(mpc.NewDealer(3, 0))
 	ref := mpc.NewDealer(3, 0)
-	a, b, z, err := rec.TakeHadamard(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wa, wb, wz := ref.HadamardTriple(5)
-	eqWords(t, "rec a", a, wa)
-	eqWords(t, "rec b", b, wb)
-	eqWords(t, "rec z", z, wz)
-	if _, _, _, err := rec.TakeConv(mpc.ConvDims{N: 1, InC: 1, H: 4, W: 4, OutC: 2, KH: 3, KW: 3, Stride: 1, Pad: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := rec.TakeBits(12); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rec.TakeOT(6); err != nil {
-		t.Fatal(err)
-	}
 	want := Tape{
-		{Kind: KindHadamard, N: 5},
-		{Kind: KindConv, Conv: mpc.ConvDims{N: 1, InC: 1, H: 4, W: 4, OutC: 2, KH: 3, KW: 3, Stride: 1, Pad: 1}},
-		{Kind: KindBits, N: 12},
-		{Kind: KindOT, N: 6},
+		{Kind: mpc.KindHadamard, N: 5},
+		{Kind: mpc.KindConv, Conv: mpc.ConvDims{N: 1, InC: 1, H: 4, W: 4, OutC: 2, KH: 3, KW: 3, Stride: 1, Pad: 1}},
+		{Kind: mpc.KindBits, N: 12},
+		{Kind: mpc.KindOT, N: 6},
+	}
+	for i, dem := range want {
+		got, err := rec.Take(dem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wc, err := ref.Take(dem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eqCorr(t, fmt.Sprintf("rec %d", i), got, wc)
 	}
 	if !rec.Tape().Equal(want) {
 		t.Fatalf("recorded tape %v != %v", rec.Tape(), want)
@@ -271,7 +228,7 @@ func TestRecorderTape(t *testing.T) {
 
 // TestTapeRepeat checks flush-count expansion.
 func TestTapeRepeat(t *testing.T) {
-	tp := Tape{{Kind: KindHadamard, N: 2}, {Kind: KindBits, N: 3}}
+	tp := Tape{{Kind: mpc.KindHadamard, N: 2}, {Kind: mpc.KindBits, N: 3}}
 	r3 := tp.Repeat(3)
 	if len(r3) != 6 {
 		t.Fatalf("repeat length %d", len(r3))

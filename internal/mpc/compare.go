@@ -43,10 +43,11 @@ func (p *Party) DReLU(x Share) (BitShare, error) {
 		return BitShare{}, nil
 	}
 	m := n * NumChunks
-	ots, err := p.corr().TakeOT(m)
+	c, err := p.corr().Take(Demand{Kind: KindOT, N: m})
 	if err != nil {
 		return nil, fmt.Errorf("mpc: drelu random ots: %w", err)
 	}
+	ots := c.OT
 	// gtSh/eqSh hold XOR shares of per-chunk comparison digits, laid out
 	// as [element][chunk] flattened.
 	gtSh := make(BitShare, m)

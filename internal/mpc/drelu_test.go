@@ -91,9 +91,9 @@ func TestDReLUOnlineTraffic(t *testing.T) {
 			t.Errorf("party %d frames: sent %v recv %v, want sent %v recv %v", id, l.sent, l.recv, want[id].sent, want[id].recv)
 		}
 	}
-	wantTape := corr.Tape{{Kind: corr.KindOT, N: m}}
+	wantTape := corr.Tape{{Kind: mpc.KindOT, N: m}}
 	for half := mpc.NumChunks / 2; half >= 1; half /= 2 {
-		wantTape = append(wantTape, corr.Demand{Kind: corr.KindBits, N: 2 * n * half})
+		wantTape = append(wantTape, mpc.Demand{Kind: mpc.KindBits, N: 2 * n * half})
 	}
 	for id, tp := range tapes {
 		if !tp.Equal(wantTape) {

@@ -44,119 +44,52 @@ const fixedMaskTag = 0x6d61736b2d666978 // "masq-fix"
 // MaxFixedMask bounds mask slot ids accepted by dealers and stores.
 const MaxFixedMask = 1 << 20
 
-// fixedMaskRNG returns the derivation stream for one (seed, mask, n) slot.
-func fixedMaskRNG(seed uint64, mask, n int) *rng.RNG {
-	return rng.New(rng.MixSeed(seed, fixedMaskTag, uint64(mask), uint64(n)))
-}
-
-// FixedMaskPlain returns the plain fixed mask b for slot mask of length n
-// under the given dealer seed. corr.Build uses it to replay z = a@b.
-func FixedMaskPlain(seed uint64, mask, n int) []uint64 {
-	plain := make([]uint64, n)
-	fixedMaskRNG(seed, mask, n).FillUint64(plain)
-	return plain
-}
-
-// fixedMaskMaterial returns the plain mask and both additive halves,
-// split with the same mask-then-difference convention as SplitSecret so
-// either party can derive its half locally.
-func fixedMaskMaterial(seed uint64, mask, n int) (plain, half0, half1 []uint64) {
-	r := fixedMaskRNG(seed, mask, n)
-	plain = make([]uint64, n)
-	half0 = make([]uint64, n)
-	half1 = make([]uint64, n)
-	r.FillUint64(plain)
-	r.FillUint64(half0)
-	ringSub(half1, plain, half0)
-	return plain, half0, half1
-}
-
-// fixedMask is one session-pinned weight mask cached by the Dealer.
+// fixedMask is one session-pinned weight mask: the plain b both parties
+// derive, and its additive halves split with the same mask-then-difference
+// convention as SplitSecret so either party can derive its half locally.
 type fixedMask struct {
-	n     int
-	plain []uint64 // the shared b (both parties derive the same value)
-	half  []uint64 // this party's additive half of b
+	plain []uint64
+	half  [2][]uint64
 }
 
-// fixedMask returns the cached mask for slot id, deriving it on first use.
-// A slot is pinned to the length it was first derived at: the mask wraps a
-// session-constant tensor, so a length change means the caller attached
-// the slot to a different value — a protocol bug worth failing loudly on.
-func (d *Dealer) fixedMask(mask, n int) (*fixedMask, error) {
+// fixedMask returns the cached mask for slot id, deriving it on first use
+// from a stream keyed by (maskSeed, slot, length). A slot is pinned to the
+// length it was first derived at: the mask wraps a session-constant
+// tensor, so a length change means the caller attached the slot to a
+// different value — a protocol bug worth failing loudly on.
+func (g *Generator) fixedMask(mask, n int) (*fixedMask, error) {
 	if mask < 0 || mask > MaxFixedMask {
 		return nil, fmt.Errorf("mpc: fixed mask slot %d out of range [0, %d]", mask, MaxFixedMask)
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("mpc: fixed mask length %d must be positive", n)
 	}
-	if fm, ok := d.masks[mask]; ok {
-		if fm.n != n {
-			return nil, fmt.Errorf("mpc: fixed mask slot %d pinned to length %d, requested %d (a fixed mask may only mask one session-constant tensor)", mask, fm.n, n)
+	if fm, ok := g.masks[mask]; ok {
+		if len(fm.plain) != n {
+			return nil, fmt.Errorf("mpc: fixed mask slot %d pinned to length %d, requested %d (a fixed mask may only mask one session-constant tensor)", mask, len(fm.plain), n)
 		}
 		return fm, nil
 	}
-	plain, h0, h1 := fixedMaskMaterial(d.seed, mask, n)
-	fm := &fixedMask{n: n, plain: plain, half: h0}
-	if d.party == 1 {
-		fm.half = h1
+	r := rng.New(rng.MixSeed(g.maskSeed, fixedMaskTag, uint64(mask), uint64(n)))
+	fm := &fixedMask{plain: make([]uint64, n), half: [2][]uint64{make([]uint64, n), make([]uint64, n)}}
+	r.FillUint64(fm.plain)
+	r.FillUint64(fm.half[0])
+	ringSub(fm.half[1], fm.plain, fm.half[0])
+	if g.masks == nil {
+		g.masks = make(map[int]*fixedMask)
 	}
-	if d.masks == nil {
-		d.masks = make(map[int]*fixedMask)
-	}
-	d.masks[mask] = fm
+	g.masks[mask] = fm
 	return fm, nil
 }
 
 // FixedMaskHalf returns this party's additive half of the fixed mask b for
 // slot mask of length n. Party.OpenFixedW uses it to open F = W−b.
 func (d *Dealer) FixedMaskHalf(mask, n int) ([]uint64, error) {
-	fm, err := d.fixedMask(mask, n)
+	fm, err := d.gen.fixedMask(mask, n)
 	if err != nil {
 		return nil, err
 	}
-	return fm.half, nil
-}
-
-// MatMulFixedB returns shares (a, z) with z = a@b against the fixed mask b
-// (k×p) for slot mask, a fresh m×k. Main-stream draw order is fill(a),
-// pick(a), pick(z) — b never touches the main stream, so the per-flush
-// demand sequence is mask-independent.
-func (d *Dealer) MatMulFixedB(mask, m, k, p int) (a, z []uint64, err error) {
-	fm, err := d.fixedMask(mask, k*p)
-	if err != nil {
-		return nil, nil, err
-	}
-	d.Issued++
-	plainA := make([]uint64, m*k)
-	plainZ := make([]uint64, m*p)
-	d.r.FillUint64(plainA)
-	ringMatMul(plainZ, plainA, fm.plain, m, k, p)
-	return d.pick(plainA), d.pick(plainZ), nil
-}
-
-// ConvFixedB returns shares (a, z) with z = conv(a, b) against the fixed
-// kernel mask b for slot mask and the given geometry.
-func (d *Dealer) ConvFixedB(mask int, dims ConvDims) (a, z []uint64, err error) {
-	fm, err := d.fixedMask(mask, dims.KLen())
-	if err != nil {
-		return nil, nil, err
-	}
-	d.Issued++
-	plainA := make([]uint64, dims.InLen())
-	plainZ := make([]uint64, dims.OutLen())
-	d.r.FillUint64(plainA)
-	ringConv2D(plainZ, plainA, fm.plain, dims)
-	return d.pick(plainA), d.pick(plainZ), nil
-}
-
-// TakeMatMulFixedB implements CorrelationSource.
-func (d *Dealer) TakeMatMulFixedB(mask, m, k, p int) (a, z []uint64, err error) {
-	return d.MatMulFixedB(mask, m, k, p)
-}
-
-// TakeConvFixedB implements CorrelationSource.
-func (d *Dealer) TakeConvFixedB(mask int, dims ConvDims) (a, z []uint64, err error) {
-	return d.ConvFixedB(mask, dims)
+	return fm.half[d.party], nil
 }
 
 // FixedWeight is the session-cached public opening F = W−b of one weight
@@ -263,17 +196,17 @@ func (p *Party) MatMulFixedW(x, w Share, fw *FixedWeight) (Share, error) {
 		return Share{}, err
 	}
 	m, k, n := x.Shape[0], x.Shape[1], w.Shape[1]
-	a, z, err := p.corr().TakeMatMulFixedB(fw.Mask, m, k, n)
+	c, err := p.corr().Take(Demand{Kind: KindMatMulFixedB, Mask: fw.Mask, M: m, K: k, P: n})
 	if err != nil {
 		return Share{}, fmt.Errorf("mpc: matmul fixed-b pair: %w", err)
 	}
-	e, err := p.openOne(x.V, a)
+	e, err := p.openOne(x.V, c.A)
 	if err != nil {
 		return Share{}, fmt.Errorf("mpc: matmul open: %w", err)
 	}
 	out := NewShare(m, n)
 	apply := func(dst, aa, bb []uint64) { ringMatMul(dst, aa, bb, m, k, n) }
-	p.mulCombine(out.V, e, fw.F, x.V, w.V, z, apply)
+	p.mulCombine(out.V, e, fw.F, x.V, w.V, c.Z, apply)
 	p.TruncateInPlace(&out)
 	return out, nil
 }
@@ -289,18 +222,18 @@ func (p *Party) Conv2DFixedW(x, w Share, fw *FixedWeight, dims ConvDims) (Share,
 	if err := p.checkFixedW(fw, w); err != nil {
 		return Share{}, err
 	}
-	a, z, err := p.corr().TakeConvFixedB(fw.Mask, dims)
+	c, err := p.corr().Take(Demand{Kind: KindConvFixedB, Mask: fw.Mask, Conv: dims})
 	if err != nil {
 		return Share{}, fmt.Errorf("mpc: conv fixed-b pair: %w", err)
 	}
-	e, err := p.openOne(x.V, a)
+	e, err := p.openOne(x.V, c.A)
 	if err != nil {
 		return Share{}, fmt.Errorf("mpc: conv open: %w", err)
 	}
 	oh, ow := dims.OutHW()
 	out := NewShare(dims.N, dims.OutC, oh, ow)
 	apply := func(dst, aa, bb []uint64) { ringConv2D(dst, aa, bb, dims) }
-	p.mulCombine(out.V, e, fw.F, x.V, w.V, z, apply)
+	p.mulCombine(out.V, e, fw.F, x.V, w.V, c.Z, apply)
 	p.TruncateInPlace(&out)
 	return out, nil
 }

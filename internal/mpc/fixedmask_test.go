@@ -175,22 +175,32 @@ func TestConv2DFixedWMatchesPlain(t *testing.T) {
 // three, and the parties' halves are a valid additive sharing of it.
 func TestFixedMaskDerivation(t *testing.T) {
 	const n = 16
-	plain := FixedMaskPlain(9, 4, n)
-	if got := FixedMaskPlain(9, 4, n); !wordsEqual(got, plain) {
+	derive := func(seed uint64, mask, n int) *fixedMask {
+		t.Helper()
+		// The main stream is deliberately unrelated to seed: b depends
+		// only on the mask seed.
+		fm, err := NewGenerator(rng.New(seed+1000), seed).fixedMask(mask, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fm
+	}
+	fm := derive(9, 4, n)
+	plain := fm.plain
+	if got := derive(9, 4, n).plain; !wordsEqual(got, plain) {
 		t.Fatal("fixed mask derivation is not deterministic")
 	}
-	if wordsEqual(FixedMaskPlain(10, 4, n), plain) {
+	if wordsEqual(derive(10, 4, n).plain, plain) {
 		t.Fatal("different dealer seeds must mint different masks")
 	}
-	if wordsEqual(FixedMaskPlain(9, 5, n), plain) {
+	if wordsEqual(derive(9, 5, n).plain, plain) {
 		t.Fatal("different slots must mint different masks")
 	}
-	p2, h0, h1 := fixedMaskMaterial(9, 4, n)
-	if !wordsEqual(p2, plain) {
-		t.Fatal("material plain diverges from FixedMaskPlain")
+	if wordsEqual(derive(9, 4, n+1).plain[:n], plain) {
+		t.Fatal("different lengths must mint different masks")
 	}
 	sum := make([]uint64, n)
-	ringAdd(sum, h0, h1)
+	ringAdd(sum, fm.half[0], fm.half[1])
 	if !wordsEqual(sum, plain) {
 		t.Fatal("halves do not reconstruct the plain mask")
 	}
@@ -201,9 +211,9 @@ func TestFixedMaskDerivation(t *testing.T) {
 	if _, err := dB.FixedMaskHalf(2, n); err != nil {
 		t.Fatal(err)
 	}
-	a1, b1, z1 := dA.MatMulTriple(2, 3, 4)
-	a2, b2, z2 := dB.MatMulTriple(2, 3, 4)
-	if !wordsEqual(a1, a2) || !wordsEqual(b1, b2) || !wordsEqual(z1, z2) {
+	mm := Demand{Kind: KindMatMul, M: 2, K: 3, P: 4}
+	c1, c2 := take(t, dA, mm), take(t, dB, mm)
+	if !wordsEqual(c1.A, c2.A) || !wordsEqual(c1.B, c2.B) || !wordsEqual(c1.Z, c2.Z) {
 		t.Fatal("fixed mask derivation perturbed the main dealer stream")
 	}
 }
@@ -231,7 +241,7 @@ func TestFixedMaskSlotPinning(t *testing.T) {
 		!strings.Contains(err.Error(), "session-constant tensor") {
 		t.Fatalf("re-pinning a slot to a new length must fail, got: %v", err)
 	}
-	if _, _, err := d.MatMulFixedB(7, 2, 3, 5); err == nil {
+	if _, err := d.Take(Demand{Kind: KindMatMulFixedB, Mask: 7, M: 2, K: 3, P: 5}); err == nil {
 		t.Fatal("slot pinned to length 12 must reject a 3x5 mask request")
 	}
 	if _, err := d.FixedMaskHalf(-1, 4); err == nil || !strings.Contains(err.Error(), "out of range") {

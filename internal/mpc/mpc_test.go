@@ -621,35 +621,45 @@ func TestTruncationErrorBound(t *testing.T) {
 		xs, 3.0/testCodec.Scale())
 }
 
+// take is Dealer.Take for demands that cannot fail.
+func take(t *testing.T, d *Dealer, dem Demand) Correlation {
+	t.Helper()
+	c, err := d.Take(dem)
+	if err != nil {
+		t.Fatalf("take %s: %v", dem, err)
+	}
+	return c
+}
+
 func TestDealerDeterminism(t *testing.T) {
 	d0 := NewDealer(42, 0)
 	d1 := NewDealer(42, 1)
-	a0, b0, z0 := d0.HadamardTriple(16)
-	a1, b1, z1 := d1.HadamardTriple(16)
+	h := Demand{Kind: KindHadamard, N: 16}
+	h0, h1 := take(t, d0, h), take(t, d1, h)
 	for i := 0; i < 16; i++ {
-		a := a0[i] + a1[i]
-		b := b0[i] + b1[i]
-		z := z0[i] + z1[i]
+		a := h0.A[i] + h1.A[i]
+		b := h0.B[i] + h1.B[i]
+		z := h0.Z[i] + h1.Z[i]
 		if z != a*b {
 			t.Fatalf("triple %d: z=%d a*b=%d", i, z, a*b)
 		}
 	}
 	// Square pairs.
-	sa0, sz0 := d0.SquarePair(8)
-	sa1, sz1 := d1.SquarePair(8)
+	sq := Demand{Kind: KindSquare, N: 8}
+	s0, s1 := take(t, d0, sq), take(t, d1, sq)
 	for i := 0; i < 8; i++ {
-		a := sa0[i] + sa1[i]
-		if sz0[i]+sz1[i] != a*a {
+		a := s0.A[i] + s1.A[i]
+		if s0.Z[i]+s1.Z[i] != a*a {
 			t.Fatalf("square pair %d inconsistent", i)
 		}
 	}
 	// Bit triples.
-	ba0, bb0, bc0 := d0.BitTriples(32)
-	ba1, bb1, bc1 := d1.BitTriples(32)
+	bt := Demand{Kind: KindBits, N: 32}
+	b0, b1 := take(t, d0, bt), take(t, d1, bt)
 	for i := 0; i < 32; i++ {
-		a := ba0[i] ^ ba1[i]
-		b := bb0[i] ^ bb1[i]
-		if bc0[i]^bc1[i] != a&b {
+		a := b0.BA[i] ^ b1.BA[i]
+		b := b0.BB[i] ^ b1.BB[i]
+		if b0.BC[i]^b1.BC[i] != a&b {
 			t.Fatalf("bit triple %d inconsistent", i)
 		}
 	}
@@ -659,11 +669,11 @@ func TestDealerMatMulConvTriples(t *testing.T) {
 	d0 := NewDealer(7, 0)
 	d1 := NewDealer(7, 1)
 	m, k, n := 3, 4, 2
-	a0, b0, z0 := d0.MatMulTriple(m, k, n)
-	a1, b1, z1 := d1.MatMulTriple(m, k, n)
-	a := CombineShares(a0, a1)
-	b := CombineShares(b0, b1)
-	z := CombineShares(z0, z1)
+	mm := Demand{Kind: KindMatMul, M: m, K: k, P: n}
+	m0, m1 := take(t, d0, mm), take(t, d1, mm)
+	a := CombineShares(m0.A, m1.A)
+	b := CombineShares(m0.B, m1.B)
+	z := CombineShares(m0.Z, m1.Z)
 	want := make([]uint64, m*n)
 	ringMatMul(want, a, b, m, k, n)
 	for i := range want {
@@ -672,11 +682,11 @@ func TestDealerMatMulConvTriples(t *testing.T) {
 		}
 	}
 	dims := ConvDims{N: 1, InC: 2, H: 4, W: 4, OutC: 2, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	ca0, cb0, cz0 := d0.ConvTriple(dims)
-	ca1, cb1, cz1 := d1.ConvTriple(dims)
-	ca := CombineShares(ca0, ca1)
-	cb := CombineShares(cb0, cb1)
-	cz := CombineShares(cz0, cz1)
+	cv := Demand{Kind: KindConv, Conv: dims}
+	c0, c1 := take(t, d0, cv), take(t, d1, cv)
+	ca := CombineShares(c0.A, c1.A)
+	cb := CombineShares(c0.B, c1.B)
+	cz := CombineShares(c0.Z, c1.Z)
 	cwant := make([]uint64, dims.OutLen())
 	ringConv2D(cwant, ca, cb, dims)
 	for i := range cwant {

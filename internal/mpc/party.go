@@ -261,16 +261,16 @@ func (p *Party) MulHadamardRaw(x, y Share) (Share, error) {
 	if x.Len() != y.Len() {
 		return Share{}, fmt.Errorf("mpc: hadamard size mismatch %v vs %v", x.Shape, y.Shape)
 	}
-	a, b, z, err := p.corr().TakeHadamard(x.Len())
+	c, err := p.corr().Take(Demand{Kind: KindHadamard, N: x.Len()})
 	if err != nil {
 		return Share{}, fmt.Errorf("mpc: hadamard triple: %w", err)
 	}
-	e, f, err := p.openPair(x.V, a, y.V, b)
+	e, f, err := p.openPair(x.V, c.A, y.V, c.B)
 	if err != nil {
 		return Share{}, fmt.Errorf("mpc: hadamard open: %w", err)
 	}
 	out := NewShare(x.Shape...)
-	p.mulCombine(out.V, e, f, x.V, y.V, z, ringMul)
+	p.mulCombine(out.V, e, f, x.V, y.V, c.Z, ringMul)
 	return out, nil
 }
 
@@ -288,10 +288,11 @@ func (p *Party) MulHadamard(x, y Share) (Share, error) {
 // square pair: R_i = Z_i + 2E∘A_i + i·E∘E with E = rec(x − a) (paper Eq. 3,
 // with the E² term charged to one party so it is counted once).
 func (p *Party) Square(x Share) (Share, error) {
-	a, z, err := p.corr().TakeSquare(x.Len())
+	c, err := p.corr().Take(Demand{Kind: KindSquare, N: x.Len()})
 	if err != nil {
 		return Share{}, fmt.Errorf("mpc: square pair: %w", err)
 	}
+	a, z := c.A, c.Z
 	e, err := p.openOne(x.V, a)
 	if err != nil {
 		return Share{}, fmt.Errorf("mpc: square open: %w", err)
@@ -316,17 +317,17 @@ func (p *Party) MatMul(x, y Share) (Share, error) {
 		return Share{}, fmt.Errorf("mpc: matmul shapes %v x %v", x.Shape, y.Shape)
 	}
 	m, k, n := x.Shape[0], x.Shape[1], y.Shape[1]
-	a, b, z, err := p.corr().TakeMatMul(m, k, n)
+	c, err := p.corr().Take(Demand{Kind: KindMatMul, M: m, K: k, P: n})
 	if err != nil {
 		return Share{}, fmt.Errorf("mpc: matmul triple: %w", err)
 	}
-	e, f, err := p.openPairUneven(x.V, a, y.V, b)
+	e, f, err := p.openPairUneven(x.V, c.A, y.V, c.B)
 	if err != nil {
 		return Share{}, fmt.Errorf("mpc: matmul open: %w", err)
 	}
 	out := NewShare(m, n)
 	apply := func(dst, aa, bb []uint64) { ringMatMul(dst, aa, bb, m, k, n) }
-	p.mulCombine(out.V, e, f, x.V, y.V, z, apply)
+	p.mulCombine(out.V, e, f, x.V, y.V, c.Z, apply)
 	p.TruncateInPlace(&out)
 	return out, nil
 }
@@ -339,18 +340,18 @@ func (p *Party) Conv2D(x, w Share, dims ConvDims) (Share, error) {
 		return Share{}, fmt.Errorf("mpc: conv dims mismatch: x %d vs %d, w %d vs %d",
 			x.Len(), dims.InLen(), w.Len(), dims.KLen())
 	}
-	a, b, z, err := p.corr().TakeConv(dims)
+	c, err := p.corr().Take(Demand{Kind: KindConv, Conv: dims})
 	if err != nil {
 		return Share{}, fmt.Errorf("mpc: conv triple: %w", err)
 	}
-	e, f, err := p.openPairUneven(x.V, a, w.V, b)
+	e, f, err := p.openPairUneven(x.V, c.A, w.V, c.B)
 	if err != nil {
 		return Share{}, fmt.Errorf("mpc: conv open: %w", err)
 	}
 	oh, ow := dims.OutHW()
 	out := NewShare(dims.N, dims.OutC, oh, ow)
 	apply := func(dst, aa, bb []uint64) { ringConv2D(dst, aa, bb, dims) }
-	p.mulCombine(out.V, e, f, x.V, w.V, z, apply)
+	p.mulCombine(out.V, e, f, x.V, w.V, c.Z, apply)
 	p.TruncateInPlace(&out)
 	return out, nil
 }
@@ -386,10 +387,11 @@ func (p *Party) bitAnd(a, b BitShare) (BitShare, error) {
 	if len(b) != n {
 		return nil, fmt.Errorf("mpc: bitAnd size mismatch %d vs %d", n, len(b))
 	}
-	ta, tb, tc, err := p.corr().TakeBits(n)
+	c, err := p.corr().Take(Demand{Kind: KindBits, N: n})
 	if err != nil {
 		return nil, fmt.Errorf("mpc: bit triples: %w", err)
 	}
+	ta, tb, tc := c.BA, c.BB, c.BC
 	mine := make(BitShare, 2*n)
 	for i := 0; i < n; i++ {
 		mine[i] = a[i] ^ ta[i]

@@ -59,10 +59,10 @@ func TestBeaverTripleProperty(t *testing.T) {
 		size := int(sizeRaw%64) + 1
 		d0 := NewDealer(seed, 0)
 		d1 := NewDealer(seed, 1)
-		a0, b0, z0 := d0.HadamardTriple(size)
-		a1, b1, z1 := d1.HadamardTriple(size)
+		dem := Demand{Kind: KindHadamard, N: size}
+		c0, c1 := take(t, d0, dem), take(t, d1, dem)
 		for i := 0; i < size; i++ {
-			if z0[i]+z1[i] != (a0[i]+a1[i])*(b0[i]+b1[i]) {
+			if c0.Z[i]+c1.Z[i] != (c0.A[i]+c1.A[i])*(c0.B[i]+c1.B[i]) {
 				return false
 			}
 		}

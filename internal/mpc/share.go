@@ -109,17 +109,6 @@ func CombineShares(s0, s1 []uint64) []uint64 {
 	return out
 }
 
-// splitBits XOR-shares a bit vector.
-func splitBits(bits []byte, r *rng.RNG) (b0, b1 []byte) {
-	b0 = make([]byte, len(bits))
-	b1 = make([]byte, len(bits))
-	for i := range bits {
-		b0[i] = byte(r.Uint64()) & 1
-		b1[i] = bits[i] ^ b0[i]
-	}
-	return b0, b1
-}
-
 // ring helpers over Z_{2^64} vectors. All of them delegate to the shared
 // kernel package, which chunks large vectors across the worker pool and
 // keeps small ones inline; Go's wrapping uint64 arithmetic is exactly the

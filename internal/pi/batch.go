@@ -11,7 +11,6 @@ import (
 	"pasnet/internal/mpc"
 	"pasnet/internal/obs"
 	"pasnet/internal/tensor"
-	"pasnet/internal/transport"
 )
 
 // This file implements the batched multi-query pipeline: K independent
@@ -194,42 +193,32 @@ func CheckShape(actual, expected []int) error {
 	return nil
 }
 
-// negotiateShape is the pre-flush control round: party 1 announces the
-// batch geometry it is about to share, party 0 announces the geometry it
-// expects, and each side validates the other's view before any protocol
-// data flows. A mismatch therefore surfaces as an immediate, symmetric
-// error instead of a mid-protocol length desync. Party 1 returns the
-// agreed shape; party 0 additionally learns the flush's batch size this
-// way. An empty shape from party 1 is the end-of-session sentinel, and is
+// negotiateShape is party 0's side of the pre-flush control round: party
+// 1 announces the batch geometry it is about to share (BeginQuery), party
+// 0 replies with the geometry it expects, and each side validates the
+// other's view before any protocol data flows. A mismatch therefore
+// surfaces as an immediate, symmetric error instead of a mid-protocol
+// length desync; party 0 also learns the flush's batch size this way. An
+// empty shape from party 1 is the end-of-session sentinel, and is
 // returned as (nil, nil).
 //
 // Party 0 receives before it sends: party 1 may hang up right after the
 // sentinel, so a reply to it could only fail on a closed link.
-func negotiateShape(p *mpc.Party, mine []int) ([]int, error) {
-	if p.ID == 0 {
-		theirs, err := p.Conn.RecvShape()
-		if err != nil {
-			return nil, fmt.Errorf("pi: shape negotiation: recv: %w", err)
-		}
-		if len(theirs) == 0 {
-			return nil, nil
-		}
-		if err := p.Conn.SendShape(mine); err != nil {
-			return nil, fmt.Errorf("pi: shape negotiation: send: %w", err)
-		}
-		if err := CheckShape(theirs, mine); err != nil {
-			return nil, err
-		}
-		return theirs, nil
-	}
-	theirs, err := transport.ExchangeShapes(p.Conn, mine)
+func negotiateShape(p *mpc.Party, expect []int) ([]int, error) {
+	theirs, err := p.Conn.RecvShape()
 	if err != nil {
-		return nil, fmt.Errorf("pi: shape negotiation: %w", err)
+		return nil, fmt.Errorf("pi: shape negotiation: recv: %w", err)
 	}
-	if err := CheckShape(mine, theirs); err != nil {
+	if len(theirs) == 0 {
+		return nil, nil
+	}
+	if err := p.Conn.SendShape(expect); err != nil {
+		return nil, fmt.Errorf("pi: shape negotiation: send: %w", err)
+	}
+	if err := CheckShape(theirs, expect); err != nil {
 		return nil, err
 	}
-	return mine, nil
+	return theirs, nil
 }
 
 // Session is one party's endpoint of a persistent private-inference

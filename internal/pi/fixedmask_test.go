@@ -9,8 +9,8 @@ import (
 	"pasnet/internal/corr"
 	"pasnet/internal/fixed"
 	"pasnet/internal/hwmodel"
-	"pasnet/internal/mpc"
 	"pasnet/internal/models"
+	"pasnet/internal/mpc"
 	"pasnet/internal/rng"
 	"pasnet/internal/tensor"
 	"pasnet/internal/transport"
@@ -202,9 +202,9 @@ func weightSideWords(tape corr.Tape) int {
 	words := 0
 	for _, d := range tape {
 		switch d.Kind {
-		case corr.KindMatMul:
+		case mpc.KindMatMul:
 			words += d.K * d.P
-		case corr.KindConv:
+		case mpc.KindConv:
 			words += d.Conv.KLen()
 		}
 	}

@@ -39,38 +39,21 @@ var ErrNoStore = errors.New("no preprocessed store for this geometry")
 // irrelevant there (the trace runs in-process on zero inputs).
 type zeroSource struct{}
 
-func (zeroSource) TakeHadamard(n int) (a, b, z []uint64, err error) {
-	return make([]uint64, n), make([]uint64, n), make([]uint64, n), nil
-}
-
-func (zeroSource) TakeSquare(n int) (a, z []uint64, err error) {
-	return make([]uint64, n), make([]uint64, n), nil
-}
-
-func (zeroSource) TakeMatMul(m, k, p int) (a, b, z []uint64, err error) {
-	return make([]uint64, m*k), make([]uint64, k*p), make([]uint64, m*p), nil
-}
-
-func (zeroSource) TakeConv(dims mpc.ConvDims) (a, b, z []uint64, err error) {
-	return make([]uint64, dims.InLen()), make([]uint64, dims.KLen()), make([]uint64, dims.OutLen()), nil
-}
-
-func (zeroSource) TakeMatMulFixedB(mask, m, k, p int) (a, z []uint64, err error) {
-	// z = a@b = 0 for a = 0, whatever b is — still a valid pair.
-	return make([]uint64, m*k), make([]uint64, m*p), nil
-}
-
-func (zeroSource) TakeConvFixedB(mask int, dims mpc.ConvDims) (a, z []uint64, err error) {
-	return make([]uint64, dims.InLen()), make([]uint64, dims.OutLen()), nil
-}
-
-func (zeroSource) TakeBits(n int) (ta, tb, tc mpc.BitShare, err error) {
-	return make(mpc.BitShare, n), make(mpc.BitShare, n), make(mpc.BitShare, n), nil
-}
-
-func (zeroSource) TakeOT(n int) ([]byte, error) {
-	// All messages 0 and choice 0: a valid random OT (m_c = m_0 = 0).
-	return make([]byte, n), nil
+func (zeroSource) Take(d mpc.Demand) (mpc.Correlation, error) {
+	switch d.Kind {
+	case mpc.KindBits:
+		return mpc.Correlation{BA: make(mpc.BitShare, d.N), BB: make(mpc.BitShare, d.N), BC: make(mpc.BitShare, d.N)}, nil
+	case mpc.KindOT:
+		// All messages 0 and choice 0: a valid random OT (m_c = m_0 = 0).
+		return mpc.Correlation{OT: make([]byte, d.N)}, nil
+	}
+	// z = a∘b = 0 for a = 0, whatever b (even a fixed mask) is.
+	la, lb, lz := d.Lens()
+	c := mpc.Correlation{A: make([]uint64, la), Z: make([]uint64, lz)}
+	if lb > 0 {
+		c.B = make([]uint64, lb)
+	}
+	return c, nil
 }
 
 // TraceTape runs the compiled program once over an in-process transport

@@ -259,35 +259,3 @@ func runSessions(m *models.Model, hw hwmodel.Config, x *tensor.Tensor, counts []
 	}
 	return res, nil
 }
-
-// RunParty executes one side of a private inference over an established
-// transport (the cmd/pasnet-server two-process deployment). Party 1
-// supplies the query x; party 0 passes nil and declares the input geometry
-// it expects (zero entries are wildcards, nil accepts anything). Both
-// parties validate the query shape against that expectation in a control
-// round before any protocol data flows, so a mismatch returns a clear
-// error on both sides instead of a mid-protocol desync.
-func RunParty(p *mpc.Party, m *models.Model, x *tensor.Tensor, inputShape []int) ([]float64, error) {
-	if p.ID == 1 {
-		if x == nil {
-			return nil, fmt.Errorf("pi: party 1 must supply the query")
-		}
-		sess, err := NewSession(p, m, nil)
-		if err != nil {
-			return nil, err
-		}
-		return sess.Query(x)
-	}
-	sess, err := NewSession(p, m, inputShape)
-	if err != nil {
-		return nil, err
-	}
-	logits, done, err := sess.ServeOne()
-	if err != nil {
-		return nil, err
-	}
-	if done {
-		return nil, fmt.Errorf("pi: peer closed the session before querying")
-	}
-	return logits, nil
-}

@@ -15,8 +15,8 @@ import (
 	"pasnet/internal/transport"
 )
 
-// tinyModel wraps a hand-built network in a models.Model so RunParty and
-// Session tests need no training.
+// tinyModel wraps a hand-built network in a models.Model so Session tests
+// need no training.
 func tinyModel(seed uint64) (*models.Model, int, int) {
 	v := netVariants[0] // plain-x2-gap
 	r := rng.New(seed)
@@ -25,8 +25,10 @@ func tinyModel(seed uint64) (*models.Model, int, int) {
 	return &models.Model{Name: "tiny", Net: net}, v.inC, v.hw
 }
 
-// runBothParties drives one RunParty pair over an in-memory pipe with a
-// timeout guard: a shape mismatch must produce errors, never a hang.
+// runBothParties drives one Session pair over an in-memory pipe — party 1
+// queries x once, party 0 serves one flush against its declared geometry
+// expect — with a timeout guard: a shape mismatch must produce errors,
+// never a hang.
 func runBothParties(t *testing.T, m *models.Model, x *tensor.Tensor, expect []int) ([2][]float64, [2]error) {
 	t.Helper()
 	c0, c1 := transport.Pipe()
@@ -39,25 +41,39 @@ func runBothParties(t *testing.T, m *models.Model, x *tensor.Tensor, expect []in
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		outs[0], errs[0] = RunParty(p0, m, nil, expect)
+		sess, err := NewSession(p0, m, expect)
+		if err != nil {
+			errs[0] = err
+			return
+		}
+		out, done, err := sess.ServeOne()
+		if err == nil && done {
+			err = fmt.Errorf("peer closed the session before querying")
+		}
+		outs[0], errs[0] = out, err
 	}()
 	go func() {
 		defer wg.Done()
-		outs[1], errs[1] = RunParty(p1, m, x, nil)
+		sess, err := NewSession(p1, m, nil)
+		if err != nil {
+			errs[1] = err
+			return
+		}
+		outs[1], errs[1] = sess.Query(x)
 	}()
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("RunParty pair deadlocked")
+		t.Fatal("session pair deadlocked")
 	}
 	c0.Close()
 	c1.Close()
 	return outs, errs
 }
 
-func TestRunPartyShapeMismatchIsDetected(t *testing.T) {
+func TestSessionShapeMismatchIsDetected(t *testing.T) {
 	m, inC, hw := tinyModel(21)
 	// Party 1's query disagrees with party 0's declared geometry.
 	x := tensor.New(1, inC, hw/2, hw/2).RandNorm(rng.New(3), 0.5)
@@ -72,7 +88,7 @@ func TestRunPartyShapeMismatchIsDetected(t *testing.T) {
 	}
 }
 
-func TestRunPartyShapeAgreementSucceeds(t *testing.T) {
+func TestSessionShapeAgreementSucceeds(t *testing.T) {
 	m, inC, hw := tinyModel(22)
 	plainQ := tensor.New(1, inC, hw, hw).RandNorm(rng.New(4), 0.5)
 	want := m.Net.Forward(plainQ, false).Data

@@ -1,8 +1,8 @@
 // Package transport provides the two-party message channel used by the 2PC
 // protocols: an in-memory duplex pipe for single-process simulation and
 // tests, and a TCP transport for genuine two-process deployment
-// (cmd/pasnet-server). Both count bytes and message rounds so the private
-// inference engine can report real communication volume.
+// (cmd/pasnet-server). Both count bytes and messages in each direction so
+// the private inference engine can report real communication volume.
 package transport
 
 import (
@@ -815,22 +815,6 @@ func Exchange(c Conn, mine []uint64) ([]uint64, error) {
 	errc := make(chan error, 1)
 	go func() { errc <- c.SendUint64s(mine) }()
 	theirs, err := c.RecvUint64s()
-	if sendErr := <-errc; sendErr != nil {
-		return nil, fmt.Errorf("transport: exchange send: %w", sendErr)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("transport: exchange recv: %w", err)
-	}
-	return theirs, nil
-}
-
-// ExchangeShapes is Exchange for shape control frames: each party sends its
-// view of the tensor geometry and receives the peer's, letting both sides
-// validate agreement before any protocol data flows.
-func ExchangeShapes(c Conn, mine []int) ([]int, error) {
-	errc := make(chan error, 1)
-	go func() { errc <- c.SendShape(mine) }()
-	theirs, err := c.RecvShape()
 	if sendErr := <-errc; sendErr != nil {
 		return nil, fmt.Errorf("transport: exchange send: %w", sendErr)
 	}

@@ -88,28 +88,6 @@ func TestShapeFrameLimits(t *testing.T) {
 	}
 }
 
-func TestExchangeShapesSymmetric(t *testing.T) {
-	a, b := Pipe()
-	defer a.Close()
-	defer b.Close()
-	done := make(chan []int, 1)
-	go func() {
-		got, err := ExchangeShapes(b, []int{2, 3})
-		if err != nil {
-			t.Error(err)
-		}
-		done <- got
-	}()
-	got, err := ExchangeShapes(a, []int{0, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := <-done
-	if len(got) != 2 || got[0] != 2 || len(other) != 2 || other[0] != 0 {
-		t.Fatalf("exchange shapes wrong: %v %v", got, other)
-	}
-}
-
 func TestMemPipeCopiesPayload(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
